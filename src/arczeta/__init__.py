@@ -7,94 +7,62 @@ resolution data, and convolution of one-variable factors, together with the
 classification of two-variable Brieskorn germs built on top.
 """
 
-from .brieskorn import (
-    BrieskornClass,
-    ClassStatus,
-    SignValue,
-    classify,
-    recover_p,
-    recover_q,
-    recover_signs,
-)
-from .errors import ArczetaError, ClassifyError, InputError, UnsupportedComputationError
-from .jets import (
-    DiagonalGerm,
-    Germ,
-    JetStratum,
-    MonomialGerm,
-    TieCurveRule,
-    UnsupportedGermError,
-    germ_to_str,
-    jet_beta,
-    jet_beta_sign,
-    jet_strata,
-    parse_germ,
-    tie_curve_beta,
-    tie_curve_rule,
-    zeta_direct,
-)
-from .oracle import JET_SPACE_CAP, count_jets_with_order
-from .ring import (
-    DEFAULT_ORDER,
-    LaurentPoly,
-    ZetaExpr,
-    ZetaSeries,
-    ZetaTerm,
-    expand_term,
-    format_poly,
-    format_series,
-    parse_poly,
-    zeta_expr,
-    zeta_term,
-)
-from .vpoly import (
-    Affine,
-    BetaScript,
-    BlowupDef,
-    Custom,
-    Difference,
-    DisjointUnion,
-    ExprDef,
-    Points,
-    Product,
-    ProjSpace,
-    PuncturedAffine,
-    Ref,
-    Sphere,
-    Torus,
-    VerificationResult,
-    beta_atom,
-    beta_expr,
-    blowup_solve,
-    count_points,
-    difference,
-    expr_dim,
-    product,
-    run_script,
-    script_from_json,
-    script_to_json,
-    union,
-    verify_polynomial_count,
-)
-from .zeta import (
-    Component,
-    Distinguished,
-    InvariantTriple,
-    NotDistinguished,
-    ResolutionDatum,
-    StratumData,
-    closed_form,
-    compare_invariants,
-    dl_expr,
-    dl_naive,
-    dl_sign,
-    germ_invariants,
-    resolution_from_json,
-    resolution_to_json,
-    ts_coefficients,
-    ts_convolve,
-)
+import importlib
+
+#: submodule -> the names the package exports from it.  Nothing is imported
+#: until a name is first looked up, so ``import arczeta`` (which ``python -m
+#: arczeta.cli`` always does first) costs no submodule and no numpy.
+_EXPORTS = {
+    "brieskorn": (
+        "BrieskornClass", "ClassStatus", "SignValue", "classify", "recover_p",
+        "recover_q", "recover_signs",
+    ),
+    "errors": (
+        "ArczetaError", "ClassifyError", "InputError", "UnsupportedComputationError",
+    ),
+    "jets": (
+        "DiagonalGerm", "Germ", "JetStratum", "MonomialGerm", "TieCurveRule",
+        "UnsupportedGermError", "germ_to_str", "jet_beta", "jet_beta_sign",
+        "jet_strata", "parse_germ", "tie_curve_beta", "tie_curve_rule",
+        "zeta_direct",
+    ),
+    "oracle": ("JET_SPACE_CAP", "count_jets_with_order"),
+    "ring": (
+        "DEFAULT_ORDER", "LaurentPoly", "ZetaExpr", "ZetaSeries", "ZetaTerm",
+        "expand_term", "format_poly", "format_series", "parse_poly", "zeta_expr",
+        "zeta_term",
+    ),
+    "vpoly": (
+        "Affine", "BetaScript", "BlowupDef", "Custom", "Difference",
+        "DisjointUnion", "ExprDef", "Points", "Product", "ProjSpace",
+        "PuncturedAffine", "Ref", "Sphere", "Torus", "VerificationResult",
+        "beta_atom", "beta_expr", "blowup_solve", "count_points", "difference",
+        "expr_dim", "product", "run_script", "script_from_json", "script_to_json",
+        "union", "verify_polynomial_count",
+    ),
+    "zeta": (
+        "Component", "Distinguished", "InvariantTriple", "NotDistinguished",
+        "ResolutionDatum", "StratumData", "closed_form", "compare_invariants",
+        "dl_expr", "dl_naive", "dl_sign", "germ_invariants",
+        "resolution_from_json", "resolution_to_json", "ts_coefficients",
+        "ts_convolve",
+    ),
+}
+_ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = sorted([*_EXPORTS, *_ORIGIN])
+
+
+def __getattr__(name: str):
+    # PEP 562: called only for names not yet in the module namespace
+    if name in _EXPORTS:
+        return importlib.import_module(f".{name}", __name__)
+    if name in _ORIGIN:
+        return getattr(importlib.import_module(f".{_ORIGIN[name]}", __name__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -11,26 +11,12 @@ import argparse
 import json
 import sys
 
-from .brieskorn import classify
 from .errors import ArczetaError, InputError, UnsupportedComputationError
-from .jets import germ_to_str, jet_beta, parse_germ, zeta_direct
-from .oracle import JET_SPACE_CAP, count_jets_with_order
-from .ring import (
-    DEFAULT_ORDER,
-    ZetaSeries,
-    format_poly,
-    format_series,
-)
-from .vpoly import run_script, script_from_json
-from .zeta import (
-    compare_invariants,
-    dl_naive,
-    dl_sign,
-    germ_invariants,
-    resolution_from_json,
-    Distinguished,
-    ts_convolve,
-)
+from .ring import DEFAULT_ORDER, ZetaSeries, format_poly, format_series
+
+# each handler imports the modules it runs, so a call loads only those:
+# zeta-germ needs jets and ring, beta vpoly and ring, and only an oracle
+# call that enumerates pulls in numpy
 
 _SIGN_OF = {"plus": 1, "minus": -1}
 
@@ -111,6 +97,8 @@ def _series_payload(z: ZetaSeries, extra: dict) -> dict:
 
 
 def _cmd_zeta_germ(args) -> tuple[str, dict]:
+    from .jets import germ_to_str, parse_germ, zeta_direct
+
     germ = parse_germ(args.germ)
     z = zeta_direct(germ, args.order, args.sign)
     text = format_series(z) + "\n"
@@ -121,6 +109,8 @@ def _cmd_zeta_germ(args) -> tuple[str, dict]:
 
 
 def _cmd_zeta_res(args) -> tuple[str, dict]:
+    from .zeta import dl_naive, dl_sign, resolution_from_json
+
     with open(args.file, "r", encoding="utf-8") as fh:
         datum = resolution_from_json(fh.read())
     if args.sign == "naive":
@@ -133,6 +123,8 @@ def _cmd_zeta_res(args) -> tuple[str, dict]:
 
 
 def _cmd_beta(args) -> tuple[str, dict]:
+    from .vpoly import run_script, script_from_json
+
     with open(args.script, "r", encoding="utf-8") as fh:
         script = script_from_json(fh.read())
     values = run_script(script)
@@ -152,6 +144,10 @@ def _load_series_file(path: str) -> ZetaSeries:
 
 
 def _cmd_classify(args) -> tuple[str, dict]:
+    from .brieskorn import classify
+    from .jets import parse_germ
+    from .zeta import germ_invariants
+
     if args.germ and args.series_file:
         raise InputError("give either --germ or --series-file, not both")
     if args.germ:
@@ -176,6 +172,9 @@ def _cmd_classify(args) -> tuple[str, dict]:
 
 
 def _cmd_ts(args) -> tuple[str, dict]:
+    from .jets import germ_to_str, parse_germ, zeta_direct
+    from .zeta import ts_convolve
+
     left = parse_germ(args.left)
     right = parse_germ(args.right)
     zf = zeta_direct(left, args.order)
@@ -194,6 +193,11 @@ def _cmd_ts(args) -> tuple[str, dict]:
 
 
 def _cmd_oracle(args) -> tuple[str, dict]:
+    from .jets import germ_to_str, jet_beta, parse_germ
+    from .oracle import check_jet_space, count_jets_with_order
+
+    if args.n < 1:
+        raise InputError("--n must be a positive integer")
     germ = parse_germ(args.germ)
     try:
         qs = [int(part) for part in args.q.split(",") if part]
@@ -202,11 +206,7 @@ def _cmd_oracle(args) -> tuple[str, dict]:
     if not qs:
         raise InputError("no q values given")
     for q in qs:
-        if q ** (germ.dim * args.n) > JET_SPACE_CAP:
-            raise UnsupportedComputationError(
-                f"jet space size q^(d*n) = {q}^{germ.dim * args.n} exceeds "
-                f"the cap {JET_SPACE_CAP}; choose a smaller q or n"
-            )
+        check_jet_space(q, germ.dim, args.n)
     beta = jet_beta(germ, args.n)
     rows = []
     for q in qs:
@@ -231,6 +231,9 @@ def _cmd_oracle(args) -> tuple[str, dict]:
 
 
 def _cmd_compare(args) -> tuple[str, dict]:
+    from .jets import germ_to_str, parse_germ
+    from .zeta import Distinguished, compare_invariants, germ_invariants
+
     left = parse_germ(args.left)
     right = parse_germ(args.right)
     result = compare_invariants(

@@ -13,10 +13,15 @@ oversized requests are rejected with a sizing message rather than attempted.
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import UnsupportedComputationError
 from .jets import DiagonalGerm, Germ, MonomialGerm
+
+# numpy is imported inside the enumerator functions only: the input checks,
+# and every caller that never enumerates, skip its start-up cost
+if TYPE_CHECKING:
+    import numpy as np
 
 JET_SPACE_CAP = 10**7
 
@@ -32,8 +37,32 @@ def _is_prime(q: int) -> bool:
     return True
 
 
+def check_jet_space(q: int, d: int, n: int) -> None:
+    """Reject q unless it is prime and the jet space q^(d*n) is within the cap.
+
+    The size is multiplied up one factor at a time and stops at the first
+    product over the cap, so a huge q or n costs a few steps and never a
+    huge power; the cap then keeps the primality test short.
+    """
+    size = 1
+    # q < 2 never grows the product and is no prime: the last check rejects it
+    for _ in range(d * n if q >= 2 else 0):
+        size *= q
+        if size > JET_SPACE_CAP:
+            raise UnsupportedComputationError(
+                f"jet space size q^(d*n) = {q}^{d * n} exceeds the cap "
+                f"{JET_SPACE_CAP}; choose a smaller q or n"
+            )
+    if not _is_prime(q):
+        raise UnsupportedComputationError(
+            f"jet enumeration works over prime fields only, got q = {q}"
+        )
+
+
 def _coordinate_jets(q: int, n: int) -> np.ndarray:
     """All q^n coordinate jets as rows of coefficients (t^1 .. t^n)."""
+    import numpy as np
+
     count = q**n
     idx = np.arange(count)
     cols = []
@@ -43,6 +72,8 @@ def _coordinate_jets(q: int, n: int) -> np.ndarray:
 
 
 def _trunc_mul(a: np.ndarray, b: np.ndarray, q: int, n: int) -> np.ndarray:
+    import numpy as np
+
     out = np.zeros_like(a)
     for i in range(n + 1):
         col = a[:, i]
@@ -58,6 +89,8 @@ def _truncated_power(jets: np.ndarray, p: int, q: int, n: int) -> np.ndarray:
     Exponentiation by squaring; int32 is safe since entries stay below
     q^2 * (n + 1) for the field sizes the cap admits.
     """
+    import numpy as np
+
     rows = jets.shape[0]
     base = np.zeros((rows, n + 1), dtype=np.int32)
     base[:, 1:] = jets
@@ -83,16 +116,7 @@ def count_jets_with_order(g: Germ, n: int, q: int) -> int:
     """Number of jets gamma over F_q with ord(f o gamma) exactly n."""
     if n < 1:
         raise ValueError("the order n must be a positive integer")
-    if not _is_prime(q):
-        raise UnsupportedComputationError(
-            f"jet enumeration works over prime fields only, got q = {q}"
-        )
-    d = g.dim
-    if q ** (d * n) > JET_SPACE_CAP:
-        raise UnsupportedComputationError(
-            f"jet space size q^(d*n) = {q}^{d * n} exceeds the cap "
-            f"{JET_SPACE_CAP}; choose a smaller q or n"
-        )
+    check_jet_space(q, g.dim, n)
     if isinstance(g, MonomialGerm):
         return _count_monomial(g, n, q)
     if isinstance(g, DiagonalGerm):
@@ -103,6 +127,8 @@ def count_jets_with_order(g: Germ, n: int, q: int) -> int:
 def _count_monomial(g: MonomialGerm, n: int, q: int) -> int:
     # ord of a product is the sum of the factor orders (F_q is a domain),
     # so per-coordinate order histograms combine by convolution
+    import numpy as np
+
     jets = _coordinate_jets(q, n)
     histograms = []
     for e in g.exponents:
@@ -134,6 +160,8 @@ def _count_monomial(g: MonomialGerm, n: int, q: int) -> int:
 
 
 def _count_diagonal(g: DiagonalGerm, n: int, q: int) -> int:
+    import numpy as np
+
     jets = _coordinate_jets(q, n)
     tables = []
     for sign, p in g.terms:

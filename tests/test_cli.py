@@ -35,11 +35,12 @@ WHITNEY = {
 }
 
 
-def run_cli(*args):
+def run_cli(*args, timeout=None):
     proc = subprocess.run(
         [sys.executable, "-m", "arczeta.cli", *args],
         capture_output=True,
         text=True,
+        timeout=timeout,
     )
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -238,3 +239,16 @@ class TestOracle:
     def test_cap_exit_2(self):
         rc, _, err = run_cli("oracle", "--germ", "x^2+y^2+z^2", "--n", "4", "--q", "7")
         assert rc == 2 and "cap" in err
+
+    def test_huge_n_rejected_in_bounded_time(self):
+        # the cap is checked without forming q^(d*n)
+        rc, out, err = run_cli(
+            "oracle", "--germ", "x^2", "--n", "100000000", "--q", "3", timeout=5
+        )
+        assert rc == 2 and out == "" and "cap" in err
+        assert "Traceback" not in err and err.count("\n") == 1
+
+    def test_nonpositive_n_exit_1(self):
+        rc, out, err = run_cli("oracle", "--germ", "x^2", "--n", "0", "--q", "3", timeout=5)
+        assert rc == 1 and out == "" and "--n must be a positive integer" in err
+        assert "Traceback" not in err and err.count("\n") == 1

@@ -360,3 +360,9 @@ class TestOracle:
     def test_prime_fields_only(self):
         with pytest.raises(UnsupportedComputationError):
             count_jets_with_order(parse_germ("x^2"), 2, 9)
+
+    def test_huge_n_rejected_without_forming_the_power(self):
+        with pytest.raises(UnsupportedComputationError, match="cap"):
+            count_jets_with_order(parse_germ("x^2"), 10**8, 3)
+        with pytest.raises(UnsupportedComputationError, match="prime"):
+            count_jets_with_order(parse_germ("x^2"), 10**8, 1)
