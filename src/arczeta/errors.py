@@ -17,5 +17,12 @@ class UnsupportedComputationError(ArczetaError):
     """
 
 
+class RingBoundError(UnsupportedComputationError):
+    """A Laurent polynomial would leave the supported exponent range or span.
+
+    Both bounds are checked before any coefficient storage is allocated.
+    """
+
+
 class ClassifyError(ArczetaError):
     """Exponent recovery failed (typically: truncation order too small)."""

@@ -27,7 +27,11 @@ The zero sets of leading forms that the bookkeeping needs are plane curves
 three variables, sign-definite forms only; an indefinite three-way tie has
 no supported rule and raises instead of guessing.
 
-All functions are pure; per-order computations are independent.
+:func:`jet_strata` lists the strata of one order n and is the reference
+for the sums.  :func:`zeta_direct` does not call it: summed over a whole
+series, the strata telescope into one pass over n (see :func:`_diagonal_sweep`
+and :func:`_monomial_sweep`), so its cost follows the size of the series it
+returns.  All functions are pure.
 """
 
 from __future__ import annotations
@@ -116,10 +120,6 @@ class DiagonalGerm:
 
 
 Germ = Union[MonomialGerm, DiagonalGerm]
-
-
-def germ_dim(g: Germ) -> int:
-    return g.dim
 
 
 # -- germ grammar -------------------------------------------------------------
@@ -290,11 +290,11 @@ def _is_definite(terms: list[tuple[int, int]]) -> bool:
     return all(p % 2 == 0 for _, p in terms) and len(signs) == 1
 
 
-def _axis_solution_count(sign: int, p: int, level: int) -> int:
-    # solutions of sign * a^p = level over the reals
-    if p % 2 == 1:
+def _real_root_count(m: int, target: int) -> int:
+    """Number of real solutions t of t^m = target, for target = +1 or -1."""
+    if m % 2 == 1:
         return 1
-    return 2 if sign == level else 0
+    return 2 if target == 1 else 0
 
 
 def _leading_zero_beta(terms: list[tuple[int, int]], n: int) -> LaurentPoly:
@@ -315,7 +315,7 @@ def _leading_level_beta(terms: list[tuple[int, int]], level: int, n: int) -> Lau
     """beta of {leading form = level} in R^len(terms), level = +-1."""
     if len(terms) == 1:
         s, p = terms[0]
-        return LaurentPoly.const(_axis_solution_count(s, p, level))
+        return LaurentPoly.const(_real_root_count(p, s * level))
     if len(terms) == 2:
         (s1, p1), (s2, p2) = terms
         return tie_curve_beta(p1, p2, s1, s2, level)
@@ -359,20 +359,23 @@ class JetStratum:
         return self.condition_beta.shift(self.free_dims)
 
 
+def _monomial_condition(g: MonomialGerm, level: int) -> tuple[LaurentPoly, str]:
+    """beta and text of the leading-coefficient condition, the same for every n."""
+    exps = [e for e in g.exponents if e > 0]
+    if level == 0:
+        return (U - ONE) ** len(exps), "each leading coefficient nonzero"
+    count = _real_root_count(math.gcd(*exps), level * g.unit_sign)
+    return (
+        LaurentPoly.const(count) * (U - ONE) ** (len(exps) - 1),
+        "leading product normalized to the requested sign",
+    )
+
+
 def _monomial_strata(g: MonomialGerm, n: int, variant: Variant) -> list[JetStratum]:
     active = [i for i, e in enumerate(g.exponents) if e > 0]
     exps = [g.exponents[i] for i in active]
     dummies = g.dim - len(active)
-    level = _VARIANT_LEVEL[variant]
-    if level == 0:
-        cond_beta = (U - ONE) ** len(active)
-        cond = "each leading coefficient nonzero"
-    else:
-        m = math.gcd(*exps)
-        target = level * g.unit_sign
-        count = 2 if (m % 2 == 0 and target == 1) else (0 if m % 2 == 0 else 1)
-        cond_beta = LaurentPoly.const(count) * (U - ONE) ** (len(active) - 1)
-        cond = "leading product normalized to the requested sign"
+    cond_beta, cond = _monomial_condition(g, _VARIANT_LEVEL[variant])
 
     strata: list[JetStratum] = []
 
@@ -514,15 +517,99 @@ def jet_beta_sign(g: Germ, n: int, sign: int) -> LaurentPoly:
 
 
 def zeta_direct(g: Germ, order: int, variant: Variant = "naive") -> ZetaSeries:
-    """The zeta series sum(beta_n * u^(-n*d) * T^n) up to the given order."""
+    """The zeta series sum(beta_n * u^(-n*d) * T^n) up to the given order.
+
+    Equal to summing the :func:`jet_strata` contributions order by order
+    (the test suite keeps that loop as the reference), in one pass over n.
+    """
     if order < 1:
         raise ValueError("truncation order must be a positive integer")
-    d = germ_dim(g)
+    if variant not in _VARIANT_LEVEL:
+        raise ValueError(f"unknown variant {variant!r}")
+    level = _VARIANT_LEVEL[variant]
+    if isinstance(g, MonomialGerm):
+        return ZetaSeries(order, _monomial_sweep(g, order, level))
+    if isinstance(g, DiagonalGerm):
+        return ZetaSeries(order, _diagonal_sweep(g, order, level))
+    raise TypeError(f"not a germ: {g!r}")
+
+
+def _diagonal_sweep(g: DiagonalGerm, order: int, level: int) -> dict[int, LaurentPoly]:
+    """Normalized coefficients of a diagonal germ, n = 1..order.
+
+    With drop(s) = sum(s // p_i), the order-n strata normalize to
+    lead(D_n) * u^-drop(n) at level s = n and to
+    cancel(D_s) * u^(s - drop(s)) * u^-n at each level s < n, where D_s is
+    the tie set of s.  So the T^n coefficient is the s = n term plus u^-n
+    times P(n), the running sum of the cancellation terms of all s < n.
+    Tie sets repeat, so each one's betas are evaluated once, at the first n
+    that meets it: an unsupported tie raises exactly when the per-order
+    strata first would.
+    """
+    exps = g.exponents
+    betas: dict[tuple[int, ...], tuple[LaurentPoly, LaurentPoly]] = {}
+    coeffs: dict[int, LaurentPoly] = {}
+    pending = ZERO  # P(n)
+    for n in range(1, order + 1):
+        total = pending.shift(-n)
+        tied = tuple(i for i, p in enumerate(exps) if n % p == 0)
+        if tied:
+            if tied not in betas:
+                betas[tied] = _tie_betas([g.terms[i] for i in tied], level, n)
+            lead, cancel = betas[tied]
+            drop = sum(n // p for p in exps)
+            total = total + lead.shift(-drop)
+            pending = pending + cancel.shift(n - drop)
+        if total:
+            coeffs[n] = total
+    return coeffs
+
+
+def _tie_betas(
+    terms: list[tuple[int, int]], level: int, n: int
+) -> tuple[LaurentPoly, LaurentPoly]:
+    """(s = n condition beta, per-level cancellation beta) of one tie set."""
+    if level == 0:
+        lead = LaurentPoly.u_power(len(terms)) - _leading_zero_beta(terms, n)
+    else:
+        lead = _leading_level_beta(terms, level, n)
+    if len(terms) == 1:
+        return lead, ZERO  # a single leading term cannot cancel
+    cancel = _leading_zero_beta(terms, n) - ONE
+    return lead, cancel * (U - ONE) if level == 0 else cancel
+
+
+def _monomial_sweep(g: MonomialGerm, order: int, level: int) -> dict[int, LaurentPoly]:
+    """Normalized coefficients of a monomial germ, n = 1..order.
+
+    A composition sum(e_i * k_i) = n of the active exponents is one stratum,
+    normalized to cond * u^-(sum k_i).  Summing them by their last part
+    gives C_j(n) = u^-1 * (C_(j-1)(n - e_j) + C_j(n - e_j)), with C_0 = cond
+    at n = 0 and zero elsewhere, so each level keeps its last max(e) values.
+    This is the recurrence of ``ZetaExpr.expand`` written out on purpose:
+    the closed forms are checked against this route, so it must not share
+    their code.
+    """
+    cond, _ = _monomial_condition(g, level)
+    if not cond:
+        return {}
+    exps = [e for e in g.exponents if e > 0]
+    width = max(exps)
+    sums = [[ZERO] * width for _ in exps]
     coeffs: dict[int, LaurentPoly] = {}
     for n in range(1, order + 1):
-        total = ZERO
-        for st in jet_strata(g, n, variant):
-            total = total + st.contribution
-        if total:
-            coeffs[n] = total.shift(-n * d)
-    return ZetaSeries(order, coeffs)
+        new = []
+        for j, e in enumerate(exps):
+            m = n - e
+            if m > 0:
+                c = sums[j][m % width]
+                if j:
+                    c = sums[j - 1][m % width] + c
+            else:
+                c = cond if m == 0 and j == 0 else ZERO
+            new.append(c.shift(-1))
+        for j, c in enumerate(new):
+            sums[j][n % width] = c
+        if new[-1]:
+            coeffs[n] = new[-1]
+    return coeffs

@@ -3,12 +3,17 @@
 Three value types live here:
 
 * ``LaurentPoly``: an integer Laurent polynomial in the single variable u,
-  stored sparsely as exponent -> nonzero coefficient.
+  stored densely as u^low * (c_0 + c_1*u + c_2*u^2 + ...), an int tuple
+  trimmed at both ends, so that multiplying by u^k shares the tuple.
 * ``ZetaSeries``: a series sum(c_n * T^n, n = 1..order) truncated at a fixed
   order, with ``LaurentPoly`` coefficients and no constant term.
 * ``ZetaExpr``: an exact rational form, a sum of terms
   coef * prod_i u^(-nu_i) T^(N_i) / (1 - u^(-nu_i) T^(N_i)),
   compared only through expansion to a chosen truncation order.
+
+Storage is bounded: a polynomial whose exponents leave +-2^31, or whose
+coefficient tuple would exceed 2^20 entries, raises
+:class:`~arczeta.errors.RingBoundError` before anything is allocated.
 
 All values are immutable after construction and every operation is a pure
 function, so they are safe to share between threads.
@@ -21,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping
 
-from .errors import InputError
+from .errors import InputError, RingBoundError
 
 #: Truncation order used by callers that do not pick one explicitly.
 DEFAULT_ORDER = 64
@@ -30,11 +35,50 @@ DEFAULT_ORDER = 64
 # growth into an explicit failure instead of silent memory exhaustion.
 _MAX_EXPONENT = 2**31
 
+# Largest number of coefficient slots, u^low through u^high, one polynomial
+# may occupy: 8 MB of tuple at the bound.  A zeta_direct coefficient at T^n
+# spans at most d*n + 1 slots, so the bound only stops inputs that ask for
+# huge gaps, such as u^-1000000000 + 1.
+_MAX_SPAN = 2**20
+
+
+def check_span(low: int, high: int) -> None:
+    """Raise RingBoundError unless u^low .. u^high fits both storage bounds."""
+    if low < -_MAX_EXPONENT or high > _MAX_EXPONENT:
+        e = low if low < -_MAX_EXPONENT else high
+        raise RingBoundError(f"u-exponent {e} out of supported range")
+    if high - low >= _MAX_SPAN:
+        raise RingBoundError(
+            f"a polynomial from u^{low} to u^{high} exceeds the bound of "
+            f"{_MAX_SPAN} coefficients"
+        )
+
+
+def _poly(low: int, coeffs) -> "LaurentPoly":
+    """The polynomial u^low * coeffs, trimmed; the caller checked the bounds."""
+    start, end = 0, len(coeffs)
+    while start < end and not coeffs[start]:
+        start += 1
+    while end > start and not coeffs[end - 1]:
+        end -= 1
+    res = LaurentPoly.__new__(LaurentPoly)
+    if start == end:
+        res._low, res._coeffs = 0, ()
+    else:
+        res._low = low + start
+        res._coeffs = tuple(coeffs[start:end])
+    return res
+
 
 class LaurentPoly:
-    """Element of Z[u, u^-1] in canonical sparse form (no zero coefficients)."""
+    """Element of Z[u, u^-1] in canonical dense form.
 
-    __slots__ = ("_terms",)
+    ``_coeffs[i]`` is the coefficient of u^(_low + i); the first and last
+    entries are nonzero, and zero is the empty tuple with ``_low == 0``, so
+    equal values have equal fields.
+    """
+
+    __slots__ = ("_low", "_coeffs")
 
     def __init__(self, terms: Mapping[int, int] | None = None):
         clean: dict[int, int] = {}
@@ -42,12 +86,17 @@ class LaurentPoly:
             for e, c in terms.items():
                 e = int(e)
                 c = int(c)
-                if c == 0:
-                    continue
-                if abs(e) > _MAX_EXPONENT:
-                    raise OverflowError(f"u-exponent {e} out of supported range")
-                clean[e] = c
-        self._terms = clean
+                if c:
+                    clean[e] = c
+        if not clean:
+            self._low, self._coeffs = 0, ()
+            return
+        low, high = min(clean), max(clean)
+        check_span(low, high)
+        coeffs = [0] * (high - low + 1)
+        for e, c in clean.items():
+            coeffs[e - low] = c
+        self._low, self._coeffs = low, tuple(coeffs)
 
     # -- construction helpers -------------------------------------------------
 
@@ -71,54 +120,67 @@ class LaurentPoly:
 
     @property
     def terms(self) -> dict[int, int]:
-        """Copy of the exponent -> coefficient map."""
-        return dict(self._terms)
+        """Copy of the exponent -> nonzero coefficient map."""
+        low = self._low
+        return {low + i: c for i, c in enumerate(self._coeffs) if c}
 
     def items(self) -> Iterator[tuple[int, int]]:
-        return iter(sorted(self._terms.items(), reverse=True))
+        """(exponent, coefficient) pairs, nonzero only, exponent decreasing."""
+        cs, low = self._coeffs, self._low
+        return ((low + i, cs[i]) for i in range(len(cs) - 1, -1, -1) if cs[i])
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._coeffs
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self._coeffs)
 
     @property
     def degree(self) -> int:
         """Largest exponent; only defined for nonzero values."""
-        if not self._terms:
+        if not self._coeffs:
             raise ValueError("the zero polynomial has no degree")
-        return max(self._terms)
+        return self._low + len(self._coeffs) - 1
 
     @property
     def low_degree(self) -> int:
         """Smallest exponent; only defined for nonzero values."""
-        if not self._terms:
+        if not self._coeffs:
             raise ValueError("the zero polynomial has no low degree")
-        return min(self._terms)
+        return self._low
 
     def coeff(self, e: int) -> int:
-        return self._terms.get(e, 0)
+        i = e - self._low
+        return self._coeffs[i] if 0 <= i < len(self._coeffs) else 0
 
     # -- ring operations --------------------------------------------------------
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        out = dict(self._terms)
-        for e, c in other._terms.items():
-            s = out.get(e, 0) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        res = LaurentPoly.__new__(LaurentPoly)
-        res._terms = out
-        return res
+        a, b = self._coeffs, other._coeffs
+        if not b:
+            return self
+        if not a:
+            return other
+        la, lb = self._low, other._low
+        if lb < la:
+            a, b, la, lb = b, a, lb, la
+        off, na, nb = lb - la, len(a), len(b)
+        check_span(la, max(na, off + nb) + la - 1)
+        if off >= na:
+            # disjoint supports: nothing cancels and both ends stay nonzero
+            res = LaurentPoly.__new__(LaurentPoly)
+            res._low, res._coeffs = la, a + (0,) * (off - na) + b
+            return res
+        out = list(a[:off])
+        out += [x + y for x, y in zip(a[off:], b)]
+        out += a[off + nb:] if off + nb < na else b[na - off:]
+        return _poly(la, out)
 
     def __neg__(self) -> "LaurentPoly":
         res = LaurentPoly.__new__(LaurentPoly)
-        res._terms = {e: -c for e, c in self._terms.items()}
+        res._low, res._coeffs = self._low, tuple([-c for c in self._coeffs])
         return res
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
@@ -128,25 +190,33 @@ class LaurentPoly:
 
     def __mul__(self, other: "LaurentPoly | int") -> "LaurentPoly":
         if isinstance(other, int):
+            if not other:
+                return LaurentPoly()
             res = LaurentPoly.__new__(LaurentPoly)
-            res._terms = {e: c * other for e, c in self._terms.items()} if other else {}
+            res._low, res._coeffs = self._low, tuple([c * other for c in self._coeffs])
             return res
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        out: dict[int, int] = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                e = e1 + e2
-                s = out.get(e, 0) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        for e in out:
-            if abs(e) > _MAX_EXPONENT:
-                raise OverflowError(f"u-exponent {e} out of supported range")
+        a, b = self._coeffs, other._coeffs
+        if not a or not b:
+            return LaurentPoly()
+        low = self._low + other._low
+        check_span(low, low + len(a) + len(b) - 2)
+        if len(a) > len(b):
+            a, b = b, a
+        # Z is a domain: the end coefficients of a product are nonzero
         res = LaurentPoly.__new__(LaurentPoly)
-        res._terms = out
+        res._low = low
+        if len(a) == 1:
+            c = a[0]
+            res._coeffs = b if c == 1 else tuple([c * y for y in b])
+            return res
+        nb = len(b)
+        out = [0] * (len(a) + nb - 1)
+        for i, c in enumerate(a):
+            if c:
+                out[i:i + nb] = [x + c * y for x, y in zip(out[i:i + nb], b)]
+        res._coeffs = tuple(out)
         return res
 
     __rmul__ = __mul__
@@ -164,9 +234,14 @@ class LaurentPoly:
         return result
 
     def shift(self, k: int) -> "LaurentPoly":
-        """Multiply by u^k."""
+        """Multiply by u^k; the result shares this polynomial's tuple."""
+        cs = self._coeffs
+        if not cs or not k:
+            return self
+        low = self._low + k
+        check_span(low, low + len(cs) - 1)
         res = LaurentPoly.__new__(LaurentPoly)
-        res._terms = {e + k: c for e, c in self._terms.items()}
+        res._low, res._coeffs = low, cs
         return res
 
     def evaluate(self, q: "int | Fraction") -> Fraction:
@@ -175,21 +250,32 @@ class LaurentPoly:
         q = 0 is a domain error whenever a negative exponent is present.
         """
         q = Fraction(q)
-        if q == 0 and any(e < 0 for e in self._terms):
-            raise ValueError("cannot evaluate at 0: negative exponents present")
-        return sum((Fraction(c) * q**e for e, c in self._terms.items()), Fraction(0))
+        cs, low = self._coeffs, self._low
+        if not cs:
+            return Fraction(0)
+        if q == 0:
+            if low < 0:
+                raise ValueError("cannot evaluate at 0: negative exponents present")
+            return Fraction(cs[0] if low == 0 else 0)
+        x = q.numerator if q.denominator == 1 else q
+        acc = 0
+        for c in reversed(cs):
+            acc = acc * x + c
+        return Fraction(acc) * q**low
 
     # -- equality / hashing / text ----------------------------------------------
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, int):
-            return self._terms == ({0: other} if other else {})
+            if not other:
+                return not self._coeffs
+            return self._low == 0 and self._coeffs == (other,)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        return self._terms == other._terms
+        return self._low == other._low and self._coeffs == other._coeffs
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
+        return hash((self._low, self._coeffs))
 
     def __str__(self) -> str:
         return format_poly(self)
@@ -211,10 +297,15 @@ U_MINUS_1 = U - ONE
 
 def format_poly(p: LaurentPoly) -> str:
     """Canonical text form: terms in decreasing exponent, e.g. ``u^2-1``."""
-    if p.is_zero():
+    cs, low = p._coeffs, p._low
+    if not cs:
         return "0"
     parts: list[str] = []
-    for e, c in p.items():
+    for i in range(len(cs) - 1, -1, -1):
+        c = cs[i]
+        if not c:
+            continue
+        e = low + i
         sign = "-" if c < 0 else "+"
         mag = abs(c)
         if e == 0:
@@ -228,6 +319,7 @@ def format_poly(p: LaurentPoly) -> str:
 
 
 _TERM_RE = re.compile(r"^([+-]?)(?:(\d+)\*?)?(u(?:\^(-?\d+))?)?$")
+_SPLIT_RE = re.compile(r"(?<!\^)(?=[+-])")
 
 
 def parse_poly(text: str) -> LaurentPoly:
@@ -243,30 +335,25 @@ def parse_poly(text: str) -> LaurentPoly:
         return ZERO
     # split before every sign that starts a new term; a sign directly after
     # '^' belongs to the exponent
-    pieces: list[str] = []
-    current = ""
-    for ch in s:
-        if ch in "+-" and current and not current.endswith("^"):
-            pieces.append(current)
-            current = ch
-        else:
-            current += ch
-    if current:
-        pieces.append(current)
+    pieces = _SPLIT_RE.split(s)
+    if not pieces[0]:
+        del pieces[0]
     terms: dict[int, int] = {}
     for piece in pieces:
         m = _TERM_RE.match(piece)
-        if not m or (m.group(2) is None and m.group(3) is None):
+        if not m:
             raise InputError(f"bad term {piece!r} in polynomial {text!r}")
-        sign = -1 if m.group(1) == "-" else 1
-        coeff = int(m.group(2)) if m.group(2) is not None else 1
-        if m.group(3) is None:
+        sign, digits, upart, exponent = m.groups()
+        if digits is None and upart is None:
+            raise InputError(f"bad term {piece!r} in polynomial {text!r}")
+        coeff = int(digits) if digits is not None else 1
+        if upart is None:
             expo = 0
-        elif m.group(4) is None:
+        elif exponent is None:
             expo = 1
         else:
-            expo = int(m.group(4))
-        terms[expo] = terms.get(expo, 0) + sign * coeff
+            expo = int(exponent)
+        terms[expo] = terms.get(expo, 0) + (-coeff if sign == "-" else coeff)
     return LaurentPoly(terms)
 
 
@@ -459,14 +546,47 @@ class ZetaExpr:
     terms: tuple[ZetaTerm, ...]
 
     def expand(self, order: int) -> ZetaSeries:
-        total = ZetaSeries(order)
+        """The series to the given order, one T^n coefficient at a time.
+
+        In a term coef * F_1 * ... * F_K with F_k = x_k / (1 - x_k) and
+        x_k = u^(-nu_k) T^(N_k), the partial products S_k = coef * F_1 * ...
+        * F_k satisfy S_k = x_k * (S_(k-1) + S_k), that is
+
+            S_k(n) = u^(-nu_k) * (S_(k-1)(n - N_k) + S_k(n - N_k)),
+
+        with S_0 = coef at n = 0 and zero elsewhere.  Each level keeps only
+        its last max(N) values, and the T^n coefficient, the sum of S_K(n)
+        over the terms, is final before n + 1 starts, so no truncated
+        product series is ever built.
+        """
+        if not isinstance(order, int) or order < 1:
+            raise ValueError("truncation order must be a positive integer")
+        plans = []
         for term in self.terms:
-            prod: ZetaSeries | None = None
-            for nu, N in term.factors:
-                factor = expand_term(nu, N, order)
-                prod = factor if prod is None else prod * factor
-            total = total + prod.scale(term.coef)
-        return total
+            width = max(N for _, N in term.factors)
+            levels = [[ZERO] * width for _ in term.factors]
+            plans.append((term.coef, term.factors, width, levels))
+        coeffs: dict[int, LaurentPoly] = {}
+        for n in range(1, order + 1):
+            total = ZERO
+            for coef, factors, width, levels in plans:
+                # every S_k(n) from values stored at earlier n, then store them
+                values = []
+                for k, (nu, N) in enumerate(factors):
+                    m = n - N
+                    if m > 0:
+                        s = levels[k][m % width]
+                        if k:
+                            s = levels[k - 1][m % width] + s
+                    else:
+                        s = coef if m == 0 and k == 0 else ZERO
+                    values.append(s.shift(-nu))
+                for k, value in enumerate(values):
+                    levels[k][n % width] = value
+                total = total + values[-1]
+            if total:
+                coeffs[n] = total
+        return ZetaSeries(order, coeffs)
 
 
 def zeta_term(coef: LaurentPoly, factors: list[tuple[int, int]]) -> ZetaTerm:

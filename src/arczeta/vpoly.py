@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Union
 
 from .errors import InputError, UnsupportedComputationError
-from .ring import ONE, U, ZERO, LaurentPoly, format_poly, parse_poly
+from .ring import ONE, U, ZERO, LaurentPoly, check_span, format_poly, parse_poly
 
 # ---------------------------------------------------------------------------
 # atoms
@@ -49,6 +49,7 @@ class Torus:
     def __post_init__(self):
         if self.k < 0:
             raise ValueError("rank must be nonnegative")
+        check_span(0, self.k)  # beta spans u^0 .. u^k
 
 
 @dataclass(frozen=True)
@@ -60,6 +61,7 @@ class PuncturedAffine:
     def __post_init__(self):
         if self.m < 0:
             raise ValueError("dimension must be nonnegative")
+        check_span(0, self.m)  # beta spans u^0 .. u^m
 
 
 @dataclass(frozen=True)
@@ -82,6 +84,7 @@ class ProjSpace:
     def __post_init__(self):
         if self.k < 0:
             raise ValueError("dimension must be nonnegative")
+        check_span(0, self.k)  # beta spans u^0 .. u^k
 
 
 @dataclass(frozen=True)
@@ -100,6 +103,7 @@ class Sphere:
     def __post_init__(self):
         if self.k < 0:
             raise ValueError("dimension must be nonnegative")
+        check_span(0, self.k)  # beta spans u^0 .. u^k
 
 
 @dataclass(frozen=True)

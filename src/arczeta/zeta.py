@@ -20,7 +20,15 @@ import math
 from dataclasses import dataclass
 
 from .errors import InputError, UnsupportedComputationError
-from .jets import DiagonalGerm, Germ, MonomialGerm, germ_to_str, zeta_direct
+from .jets import (
+    _VARIANT_LEVEL,
+    DiagonalGerm,
+    Germ,
+    MonomialGerm,
+    _real_root_count,
+    germ_to_str,
+    zeta_direct,
+)
 from .ring import (
     ONE,
     U,
@@ -203,13 +211,6 @@ def dl_sign(r: ResolutionDatum, sign: int, order: int) -> ZetaSeries:
 # ---------------------------------------------------------------------------
 
 
-def _sign_solution_count(m: int, target: int) -> int:
-    # solutions of t^m = target over the reals, target in {+1,-1}
-    if m % 2 == 1:
-        return 1
-    return 2 if target == 1 else 0
-
-
 def closed_form(g: Germ, variant: str = "naive") -> ZetaExpr:
     """Exact rational form for the catalogued germ families.
 
@@ -218,9 +219,9 @@ def closed_form(g: Germ, variant: str = "naive") -> ZetaExpr:
     on record (monomials, one-variable powers, and x^2 + y^2).  Anything
     else raises, and the caller falls back to :func:`zeta_direct`.
     """
-    if variant not in ("naive", "plus", "minus"):
+    if variant not in _VARIANT_LEVEL:
         raise ValueError(f"unknown variant {variant!r}")
-    level = {"naive": 0, "plus": 1, "minus": -1}[variant]
+    level = _VARIANT_LEVEL[variant]
 
     if isinstance(g, DiagonalGerm) and g.dim == 1:
         sign, k = g.terms[0]
@@ -231,7 +232,7 @@ def closed_form(g: Germ, variant: str = "naive") -> ZetaExpr:
         factors = [(1, e) for e in active]
         if level == 0:
             return zeta_expr([zeta_term((U - ONE) ** len(active), factors)])
-        count = _sign_solution_count(math.gcd(*active), level * g.unit_sign)
+        count = _real_root_count(math.gcd(*active), level * g.unit_sign)
         coef = LaurentPoly.const(count) * (U - ONE) ** (len(active) - 1)
         if not coef:
             return zeta_expr([])

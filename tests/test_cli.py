@@ -4,6 +4,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 RESOLUTION_X2_Y2 = {
     "dimension": 2,
     "components": [{"id": "E1", "N": 2, "nu": 2, "over_origin": True}],
@@ -133,6 +135,22 @@ class TestZetaRes:
         rc, _, err = run_cli("zeta-res", "--file", str(path))
         assert rc == 1
 
+    @pytest.mark.parametrize("beta, message", [
+        ("u^-3000000000", "u-exponent -3000000000 out of supported range"),
+        ("u^1048576+1", "exceeds the bound of 1048576 coefficients"),
+        ("u^-1000000000+1", "exceeds the bound of 1048576 coefficients"),
+    ], ids=["exponent", "span", "wide-span"])
+    def test_ring_bounds_end_in_one_line(self, tmp_path, beta, message):
+        # rejected while the file is read, before any series storage exists
+        doc = json.loads(json.dumps(RESOLUTION_X2_Y2))
+        doc["strata"][0]["beta_plus"] = beta
+        path = tmp_path / "res.json"
+        path.write_text(json.dumps(doc))
+        rc, out, err = run_cli("zeta-res", "--file", str(path), "--sign", "plus",
+                               timeout=5)
+        assert rc == 2 and out == ""
+        assert err.startswith("unsupported: ") and message in err and "Traceback" not in err and err.count("\n") == 1
+
 
 class TestBeta:
     def test_whitney_script(self, tmp_path):
@@ -147,6 +165,23 @@ class TestBeta:
         path.write_text(json.dumps(WHITNEY))
         rc, out, _ = run_cli("beta", "--script", str(path), "--format", "json")
         assert json.loads(out)["betas"]["W"] == "u^2"
+
+    @pytest.mark.parametrize("kind", ["proj_space", "punctured_affine", "torus", "sphere"])
+    def test_oversized_atom_rejected_at_once(self, tmp_path, kind):
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(
+            {"defs": [{"name": "P", "expr": {"atom": {kind: 10000000}}}]}))
+        rc, out, err = run_cli("beta", "--script", str(path), timeout=5)
+        assert rc == 2 and out == ""
+        assert err.startswith("unsupported: ") and "1048576 coefficients" in err
+        assert "Traceback" not in err and err.count("\n") == 1
+
+    def test_large_affine_atom_is_one_term(self, tmp_path):
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(
+            {"defs": [{"name": "P", "expr": {"atom": {"affine": 10000000}}}]}))
+        rc, out, _ = run_cli("beta", "--script", str(path), timeout=5)
+        assert rc == 0 and out == "P = u^10000000\n"
 
 
 class TestClassify:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arczeta.errors import InputError
+from arczeta.errors import InputError, RingBoundError, UnsupportedComputationError
 from arczeta.ring import (
     ONE,
     U,
@@ -107,6 +107,91 @@ class TestRingLaws:
     @given(small_polys)
     def test_text_round_trip(self, a):
         assert parse_poly(format_poly(a)) == a
+
+
+def _sparse(p):
+    return {e: c for e, c in p.terms.items()}
+
+
+def _sparse_add(a, b):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + c
+    return {e: c for e, c in out.items() if c}
+
+
+def _sparse_mul(a, b):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+wide_polys = st.dictionaries(
+    st.integers(min_value=-40, max_value=40),
+    st.integers(min_value=-3, max_value=3),
+    max_size=8,
+).map(LaurentPoly)
+
+
+class TestDenseStore:
+    """The dense tuple store against exponent -> coefficient dictionaries."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(wide_polys, wide_polys, st.integers(min_value=-50, max_value=50))
+    def test_operations_match_sparse_reference(self, a, b, k):
+        sa, sb = _sparse(a), _sparse(b)
+        assert (a + b).terms == _sparse_add(sa, sb)
+        assert (a - b).terms == _sparse_add(sa, {e: -c for e, c in sb.items()})
+        assert (a * b).terms == _sparse_mul(sa, sb)
+        assert (a * k).terms == {e: c * k for e, c in sa.items() if c * k}
+        assert a.shift(k).terms == {e + k: c for e, c in sa.items()}
+        assert list(a.items()) == sorted(sa.items(), reverse=True)
+        for e in range(-45, 46):
+            assert a.coeff(e) == sa.get(e, 0)
+
+    @settings(max_examples=500, deadline=None)
+    @given(wide_polys, wide_polys)
+    def test_canonical_form_makes_equal_values_identical(self, a, b):
+        c = (a + b) - b
+        assert c == a and hash(c) == hash(a)
+        assert (c._low, c._coeffs) == (a._low, a._coeffs)
+        if a:
+            assert a._coeffs[0] and a._coeffs[-1]
+            assert (a.low_degree, a.degree) == (min(a.terms), max(a.terms))
+        else:
+            assert (a._low, a._coeffs) == (0, ())
+
+    def test_shift_shares_the_coefficients(self):
+        p = poly("u^3-2*u+1")
+        assert p.shift(-7)._coeffs is p._coeffs
+        assert p.shift(-7) == poly("u^-4-2*u^-6+u^-7")
+
+    def test_integer_comparison(self):
+        assert LaurentPoly.const(3) == 3 and ZERO == 0
+        assert poly("3*u") != 3 and ONE != 0
+
+
+class TestStorageBounds:
+    def test_one_error_type_for_both_bounds(self):
+        assert issubclass(RingBoundError, UnsupportedComputationError)
+        with pytest.raises(RingBoundError, match="u-exponent"):
+            LaurentPoly({2**31 + 1: 1})
+        with pytest.raises(RingBoundError, match="bound of 1048576 coefficients"):
+            LaurentPoly({-(10**9): 1, 0: 1})
+        assert LaurentPoly({2**31: 1, 2**31 - 5: 2}).degree == 2**31
+
+    def test_operations_check_before_building(self):
+        wide = LaurentPoly({0: 1, 2**19: 1})
+        with pytest.raises(RingBoundError):
+            wide * wide  # would span 2^20 + 1 slots
+        with pytest.raises(RingBoundError):
+            wide + wide.shift(2**19 + 1)
+        with pytest.raises(RingBoundError, match="u-exponent"):
+            U.shift(2**31)
+        with pytest.raises(RingBoundError):
+            parse_poly("u^-1000000000+1")
 
 
 class TestZetaSeries:

@@ -1,6 +1,7 @@
 """Resolution-data evaluation, closed forms, convolution, comparison."""
 
 import json
+import tracemalloc
 
 import pytest
 
@@ -184,6 +185,27 @@ class TestDLSign:
     def test_sign_validation(self):
         with pytest.raises(ValueError):
             dl_sign(datum_x2_y2(), 0, 10)
+
+
+class TestExpansionMemory:
+    """Streaming expansion holds a few factor values per level, not whole
+    product series: the peak follows the size of the result."""
+
+    @staticmethod
+    def _peak_mb(datum, order):
+        dl_naive(datum, 8)  # first-use allocations stay out of the figure
+        tracemalloc.start()
+        try:
+            dl_naive(datum, order)
+            return tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+
+    def test_two_component_chain(self):
+        assert self._peak_mb(datum_x2_y4(), 1024) < 1.5
+
+    def test_indefinite_curve_with_two_branches(self):
+        assert self._peak_mb(datum_plane_curve_signed(4, -1), 512) < 3.0
 
 
 class TestClosedForm:
