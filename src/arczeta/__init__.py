@@ -11,7 +11,7 @@ import importlib
 
 #: submodule -> the names the package exports from it.  Nothing is imported
 #: until a name is first looked up, so ``import arczeta`` (which ``python -m
-#: arczeta.cli`` always does first) costs no submodule and no numpy.
+#: arczeta.cli`` always does first) costs no submodule.
 _EXPORTS = {
     "brieskorn": (
         "BrieskornClass", "ClassStatus", "SignValue", "classify", "recover_p",

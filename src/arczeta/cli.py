@@ -15,8 +15,8 @@ from .errors import ArczetaError, InputError, UnsupportedComputationError
 from .ring import DEFAULT_ORDER, ZetaSeries, format_poly, format_series
 
 # each handler imports the modules it runs, so a call loads only those:
-# zeta-germ needs jets and ring, beta vpoly and ring, and only an oracle
-# call that enumerates pulls in numpy
+# zeta-germ needs jets and ring, beta vpoly and ring, oracle jets, ring and
+# oracle
 
 _SIGN_OF = {"plus": 1, "minus": -1}
 

@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Union
 
-from .errors import InputError, UnsupportedComputationError
-from .ring import ONE, U, ZERO, LaurentPoly, check_span, format_poly, parse_poly
+from .errors import InputError, RingBoundError, UnsupportedComputationError
+from .ring import ONE, ZERO, LaurentPoly, check_span, format_poly, parse_poly
 
 # ---------------------------------------------------------------------------
 # atoms
@@ -40,6 +40,12 @@ class Affine:
             raise ValueError("dimension must be nonnegative")
 
 
+# The largest coefficient of (u-1)^k is the middle binomial C(k, k//2); from
+# k = 14292 on it has more than 4300 digits, Python's default int-to-str
+# limit, so such a beta could not be printed.
+_MAX_TORUS_RANK = 14291
+
+
 @dataclass(frozen=True)
 class Torus:
     """(R*)^k; beta = (u-1)^k."""
@@ -50,6 +56,11 @@ class Torus:
         if self.k < 0:
             raise ValueError("rank must be nonnegative")
         check_span(0, self.k)  # beta spans u^0 .. u^k
+        if self.k > _MAX_TORUS_RANK:
+            raise RingBoundError(
+                f"torus rank {self.k} exceeds {_MAX_TORUS_RANK}: the coefficients "
+                f"of (u-1)^{self.k} would have more than 4300 digits"
+            )
 
 
 @dataclass(frozen=True)
@@ -176,7 +187,11 @@ def beta_atom(a: Atom) -> LaurentPoly:
     if isinstance(a, Affine):
         return LaurentPoly.u_power(a.m)
     if isinstance(a, Torus):
-        return (U - ONE) ** a.k
+        # the binomial row: c_i = (-1)^(k-i) * C(k, i)
+        row = [(-1) ** a.k]
+        for i in range(a.k):
+            row.append(-row[i] * (a.k - i) // (i + 1))
+        return LaurentPoly(dict(enumerate(row)))
     if isinstance(a, PuncturedAffine):
         return LaurentPoly.u_power(a.m) - ONE
     if isinstance(a, Points):

@@ -158,24 +158,37 @@ def datum_f_pk(p: int, k: int) -> ResolutionDatum:
     return ResolutionDatum(dimension=3, components=comps, strata=tuple(strata))
 
 
+def _mul(a, b, n, q):
+    """a*b mod (q, t^(n+1)) for coefficient lists indexed t^0 .. t^n."""
+    out = [0] * (n + 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b[: n + 1 - i]):
+                out[i + j] = (out[i + j] + ai * bj) % q
+    return out
+
+
+def _jet_power(coeffs, p, n, q):
+    """(a_1 t + ... + a_n t^n)^p mod (q, t^(n+1)) by p plain multiplications."""
+    base = [0] + list(coeffs)
+    acc = [1] + [0] * n
+    for _ in range(p):
+        acc = _mul(acc, base, n, q)
+    return acc
+
+
+def _coordinate_jets(d, n, q):
+    return itertools.product(itertools.product(range(q), repeat=n), repeat=d)
+
+
 def brute_force_diagonal_jets(terms, n, q, target=None):
     """Pure-python jet count over F_q (q prime); target picks a coefficient
     value at t^n, None counts any nonzero value."""
     count = 0
-    for jets in itertools.product(
-        itertools.product(range(q), repeat=n), repeat=len(terms)
-    ):
+    for jets in _coordinate_jets(len(terms), n, q):
         comp = [0] * (n + 1)
         for (sign, p), coeffs in zip(terms, jets):
-            base = [0] + list(coeffs)
-            acc = [1] + [0] * n
-            for _ in range(p):
-                nxt = [0] * (n + 1)
-                for i, ci in enumerate(acc):
-                    if ci:
-                        for j, cj in enumerate(base[: n + 1 - i]):
-                            nxt[i + j] = (nxt[i + j] + ci * cj) % q
-                acc = nxt
+            acc = _jet_power(coeffs, p, n, q)
             for i in range(n + 1):
                 comp[i] = (comp[i] + sign * acc[i]) % q
         if any(comp[i] for i in range(1, n)):
@@ -184,6 +197,19 @@ def brute_force_diagonal_jets(terms, n, q, target=None):
             if comp[n] % q:
                 count += 1
         elif comp[n] % q == target % q:
+            count += 1
+    return count
+
+
+def brute_force_monomial_jets(exponents, n, q):
+    """Pure-python count of the jets over F_q (q prime) with
+    ord(x1^N1 * ... * xd^Nd o gamma) exactly n."""
+    count = 0
+    for jets in _coordinate_jets(len(exponents), n, q):
+        comp = [1] + [0] * n
+        for e, coeffs in zip(exponents, jets):
+            comp = _mul(comp, _jet_power(coeffs, e, n, q), n, q)
+        if not any(comp[:n]) and comp[n]:
             count += 1
     return count
 

@@ -176,6 +176,15 @@ class TestBeta:
         assert err.startswith("unsupported: ") and "1048576 coefficients" in err
         assert "Traceback" not in err and err.count("\n") == 1
 
+    def test_torus_beyond_printable_coefficients_rejected_at_once(self, tmp_path):
+        path = tmp_path / "torus.json"
+        path.write_text(json.dumps(
+            {"defs": [{"name": "T", "expr": {"atom": {"torus": 20000}}}]}))
+        rc, out, err = run_cli("beta", "--script", str(path), timeout=5)
+        assert rc == 2 and out == ""
+        assert err == ("unsupported: torus rank 20000 exceeds 14291: the coefficients "
+                       "of (u-1)^20000 would have more than 4300 digits\n")
+
     def test_large_affine_atom_is_one_term(self, tmp_path):
         path = tmp_path / "big.json"
         path.write_text(json.dumps(
@@ -287,3 +296,22 @@ class TestOracle:
         rc, out, err = run_cli("oracle", "--germ", "x^2", "--n", "0", "--q", "3", timeout=5)
         assert rc == 1 and out == "" and "--n must be a positive integer" in err
         assert "Traceback" not in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("q", [65537, 999983, 9999991])
+    def test_large_fields_do_not_wrap(self, q):
+        # x^1 at n = 1 counts the q - 1 jets with a_1 != 0
+        rc, out, err = run_cli("oracle", "--germ", "x^1", "--n", "1", "--q", str(q), timeout=5)
+        assert (rc, err) == (0, "")
+        assert out == f"q={q}: jets={q - 1} beta={q - 1} PASS\n"
+
+    # shapes at the jet-space cap; x^1 at q = 9999991 is the last case above
+    @pytest.mark.parametrize("germ, n, q, count", [
+        ("x^2", 14, 3, 2 * 3**7),
+        ("x^2", 2, 2999, 2998 * 2999),
+    ])
+    def test_cap_shapes_answer_in_bounded_time(self, germ, n, q, count):
+        rc, out, err = run_cli(
+            "oracle", "--germ", germ, "--n", str(n), "--q", str(q), timeout=5
+        )
+        assert (rc, err) == (0, "")
+        assert out == f"q={q}: jets={count} beta={count} PASS\n"

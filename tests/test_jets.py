@@ -260,7 +260,7 @@ class TestJetBeta:
             assert symbolic.evaluate(q) == brute, (text, n, q, target)
 
     def test_enumerator_battery(self):
-        # wider cross-check through the vectorized enumerator, again only on
+        # wider cross-check through the F_q jet counter, again only on
         # fields where every condition set involved counts polynomially:
         # split and definite pairs at any suitable q, odd ties where the
         # relevant power map is a bijection (q = 2 mod 3 for cubes), circles

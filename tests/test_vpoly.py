@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -29,8 +30,8 @@ from arczeta import (
     union,
     verify_polynomial_count,
 )
-from arczeta.errors import InputError
-from arczeta.ring import ONE
+from arczeta.errors import InputError, RingBoundError
+from arczeta.ring import ONE, U
 
 from conftest import poly
 
@@ -58,6 +59,21 @@ class TestAtoms:
         Custom("ok", poly("u^2+1"), 2)
         with pytest.raises(ValueError):
             Custom("bad", poly("u^2+1"), 3)
+
+    def test_torus_binomial_row(self):
+        power = ONE
+        for k in range(30):
+            assert beta_atom(Torus(k)) == power, k
+            power = power * (U - ONE)
+
+    def test_torus_rank_bound(self):
+        # the bound is where the middle binomial first passes 4300 digits
+        assert math.comb(14291, 14291 // 2) < 10**4300 <= math.comb(14292, 14292 // 2)
+        beta = beta_atom(Torus(14291))
+        assert beta.degree == 14291
+        assert beta.coeff(7145) == math.comb(14291, 7145)  # (-1)^(k-i) * C(k, i)
+        with pytest.raises(RingBoundError, match="torus rank 14292 exceeds 14291"):
+            Torus(14292)
 
     def test_negative_parameters_rejected(self):
         with pytest.raises(ValueError):
