@@ -23,9 +23,9 @@ p odd with q an even multiple of p, where the class of the sign is unknown.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
+from ._value import frozen
 from .errors import ClassifyError
 from .jets import DiagonalGerm, zeta_direct
 from .ring import ONE, U, LaurentPoly, ZetaSeries
@@ -50,7 +50,7 @@ NO_MATCHING_SIGN_NOTE = (
 )
 
 
-@dataclass(frozen=True)
+@frozen
 class BrieskornClass:
     p: int | None
     q: int | None

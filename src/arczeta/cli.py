@@ -8,7 +8,6 @@ Exit codes: 0 success, 1 malformed input, 2 unsupported computation.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .errors import ArczetaError, InputError, UnsupportedComputationError
@@ -16,7 +15,7 @@ from .ring import DEFAULT_ORDER, ZetaSeries, format_poly, format_series
 
 # each handler imports the modules it runs, so a call loads only those:
 # zeta-germ needs jets and ring, beta vpoly and ring, oracle jets, ring and
-# oracle
+# oracle; json is imported only to read or write a JSON document
 
 _SIGN_OF = {"plus": 1, "minus": -1}
 
@@ -33,6 +32,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _json_dumps(obj) -> str:
+    import json
+
     return json.dumps(obj, indent=2) + "\n"
 
 
@@ -135,23 +136,30 @@ def _cmd_beta(args) -> tuple[str, dict]:
 
 
 def _load_series_file(path: str) -> ZetaSeries:
+    import json
+
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise InputError(f"bad series file {path}: {exc}") from exc
     return ZetaSeries.from_json_dict(data)
 
 
 def _cmd_classify(args) -> tuple[str, dict]:
     from .brieskorn import classify
-    from .jets import parse_germ
+    from .jets import DiagonalGerm, germ_to_str, parse_germ
     from .zeta import germ_invariants
 
     if args.germ and args.series_file:
         raise InputError("give either --germ or --series-file, not both")
     if args.germ:
         germ = parse_germ(args.germ)
+        if not (isinstance(germ, DiagonalGerm) and germ.dim == 2):
+            raise UnsupportedComputationError(
+                f"classify --germ needs a two-variable diagonal germ "
+                f"e1*x^p + e2*y^q, got {germ_to_str(germ)}"
+            )
         inv = germ_invariants(germ, args.order)
         z, zp, zm = inv.naive, inv.plus, inv.minus
     elif len(args.series_file) == 3:

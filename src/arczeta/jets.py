@@ -38,9 +38,9 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from typing import Literal, Union
 
+from ._value import frozen
 from .errors import InputError, UnsupportedComputationError
 from .ring import ONE, U, ZERO, LaurentPoly, ZetaSeries
 
@@ -62,7 +62,7 @@ class UnsupportedGermError(UnsupportedComputationError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@frozen
 class MonomialGerm:
     """f = unit_sign * x1^N1 * ... * xd^Nd (zero exponents allowed)."""
 
@@ -84,7 +84,7 @@ class MonomialGerm:
         return len(self.exponents)
 
 
-@dataclass(frozen=True)
+@frozen
 class DiagonalGerm:
     """f = sum of eps_i * x_i^{p_i}, one term per variable.
 
@@ -217,7 +217,7 @@ def germ_to_str(g: Germ) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@frozen
 class TieCurveRule:
     """Invariant of {e1*a^p + e2*b^q = level} in the plane, with its mechanism."""
 
@@ -334,7 +334,7 @@ def _leading_level_beta(terms: list[tuple[int, int]], level: int, n: int) -> Lau
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@frozen
 class JetStratum:
     """One stratum of the order-n jet set.
 

@@ -22,11 +22,13 @@ function, so they are safe to share between threads.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterator, Mapping
+from typing import TYPE_CHECKING, Iterator, Mapping
 
+from ._value import frozen
 from .errors import InputError, RingBoundError
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 #: Truncation order used by callers that do not pick one explicitly.
 DEFAULT_ORDER = 64
@@ -244,24 +246,27 @@ class LaurentPoly:
         res._low, res._coeffs = low, cs
         return res
 
-    def evaluate(self, q: "int | Fraction") -> Fraction:
+    def evaluate(self, q: "int | Fraction") -> "int | Fraction":
         """Exact value at u = q.
 
-        q = 0 is a domain error whenever a negative exponent is present.
+        The value is an int when q is an int and no exponent is negative,
+        and a Fraction otherwise.  q = 0 is a domain error whenever a
+        negative exponent is present.
         """
-        q = Fraction(q)
         cs, low = self._coeffs, self._low
-        if not cs:
-            return Fraction(0)
-        if q == 0:
-            if low < 0:
+        if isinstance(q, int) and low >= 0:
+            x = q
+        else:
+            from fractions import Fraction
+
+            q = Fraction(q)
+            if q == 0 and low < 0:
                 raise ValueError("cannot evaluate at 0: negative exponents present")
-            return Fraction(cs[0] if low == 0 else 0)
-        x = q.numerator if q.denominator == 1 else q
+            x = q.numerator if q.denominator == 1 else q
         acc = 0
         for c in reversed(cs):
             acc = acc * x + c
-        return Fraction(acc) * q**low
+        return acc * q**low
 
     # -- equality / hashing / text ----------------------------------------------
 
@@ -522,7 +527,7 @@ def expand_term(nu: int, N: int, order: int) -> ZetaSeries:
     return ZetaSeries(order, coeffs)
 
 
-@dataclass(frozen=True)
+@frozen
 class ZetaTerm:
     """One summand coef * prod of (nu, N) geometric factors."""
 
@@ -539,7 +544,7 @@ class ZetaTerm:
                 raise ValueError("factor parameters must be positive integers")
 
 
-@dataclass(frozen=True)
+@frozen
 class ZetaExpr:
     """Exact rational form of a zeta function; compared via expansion only."""
 

@@ -16,20 +16,21 @@ Everything here is immutable and side-effect free.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Union
+from typing import TYPE_CHECKING, Union
 
+from ._value import frozen
 from .errors import InputError, RingBoundError, UnsupportedComputationError
 from .ring import ONE, ZERO, LaurentPoly, check_span, format_poly, parse_poly
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 # ---------------------------------------------------------------------------
 # atoms
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@frozen
 class Affine:
     """R^m; beta = u^m."""
 
@@ -46,7 +47,7 @@ class Affine:
 _MAX_TORUS_RANK = 14291
 
 
-@dataclass(frozen=True)
+@frozen
 class Torus:
     """(R*)^k; beta = (u-1)^k."""
 
@@ -63,7 +64,7 @@ class Torus:
             )
 
 
-@dataclass(frozen=True)
+@frozen
 class PuncturedAffine:
     """R^m minus the origin; beta = u^m - 1."""
 
@@ -75,7 +76,7 @@ class PuncturedAffine:
         check_span(0, self.m)  # beta spans u^0 .. u^m
 
 
-@dataclass(frozen=True)
+@frozen
 class Points:
     """c isolated points; beta = c."""
 
@@ -86,7 +87,7 @@ class Points:
             raise ValueError("point count must be nonnegative")
 
 
-@dataclass(frozen=True)
+@frozen
 class ProjSpace:
     """Real projective k-space; beta = 1 + u + ... + u^k."""
 
@@ -98,7 +99,7 @@ class ProjSpace:
         check_span(0, self.k)  # beta spans u^0 .. u^k
 
 
-@dataclass(frozen=True)
+@frozen
 class Sphere:
     """The k-sphere; beta = u^k + 1.
 
@@ -117,7 +118,7 @@ class Sphere:
         check_span(0, self.k)  # beta spans u^0 .. u^k
 
 
-@dataclass(frozen=True)
+@frozen
 class Custom:
     """A piece with externally supplied invariant (and optional count rule).
 
@@ -140,17 +141,17 @@ class Custom:
 Atom = Union[Affine, Torus, PuncturedAffine, Points, ProjSpace, Sphere, Custom]
 
 
-@dataclass(frozen=True)
+@frozen
 class DisjointUnion:
     parts: tuple["PieceExpr", ...]
 
 
-@dataclass(frozen=True)
+@frozen
 class Product:
     parts: tuple["PieceExpr", ...]
 
 
-@dataclass(frozen=True)
+@frozen
 class Difference:
     """whole minus part; containment is asserted by the caller.
 
@@ -215,7 +216,7 @@ def beta_expr(e: PieceExpr) -> LaurentPoly:
     if isinstance(e, Product):
         total = ONE
         for p in e.parts:
-            total = total * beta_expr(p)
+            total = _bounded_product(total, beta_expr(p))
         return total
     if isinstance(e, Difference):
         bw = beta_expr(e.whole)
@@ -230,6 +231,44 @@ def beta_expr(e: PieceExpr) -> LaurentPoly:
             raise ValueError("difference degree check failed")
         return result
     return beta_atom(e)
+
+
+# A coefficient of a * b is a sum of at most min(len a, len b) products of a
+# coefficient of a and one of b.  Where that bound reaches 10^4300, the
+# product could have coefficients of more than 4300 digits, which the torus
+# rule already refuses because they cannot be printed.
+_MAX_COEFF = 10**4300
+
+# LaurentPoly.__mul__ walks the nonzero coefficients of the shorter factor
+# and multiplies each into the whole longer one, so it costs about
+# nnz(shorter) * len(longer) products of coefficients, each roughly
+# proportional to the 256-bit blocks of its two factors; 2^25 such units take
+# about a second.
+_MAX_PRODUCT_WORK = 2**25
+
+
+def _bounded_product(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
+    """a * b, refused with RingBoundError before any work if it is too large."""
+    if not a or not b:
+        return ZERO
+    # a * b checks the span too; checking it before the other bounds makes an
+    # over-wide product name the span bound, whichever bound it also exceeds
+    check_span(a.low_degree + b.low_degree, a.degree + b.degree)
+    len_a, len_b = (p.degree - p.low_degree + 1 for p in (a, b))
+    max_a, max_b = (max(abs(c) for _, c in p.items()) for p in (a, b))
+    if max_a * max_b * min(len_a, len_b) >= _MAX_COEFF:
+        raise RingBoundError(
+            "a product of betas could have coefficients of more than 4300 digits"
+        )
+    bits_a, bits_b = max_a.bit_length(), max_b.bit_length()
+    nonzero = sum(1 for _ in (a if len_a <= len_b else b).items())
+    work = nonzero * max(len_a, len_b) * -(-bits_a // 256) * -(-bits_b // 256)
+    if work > _MAX_PRODUCT_WORK:
+        raise RingBoundError(
+            f"a product of betas with {len_a} and {len_b} coefficients of up to "
+            f"{max(bits_a, bits_b)} bits exceeds the work bound"
+        )
+    return a * b
 
 
 def expr_dim(e: PieceExpr) -> int:
@@ -384,6 +423,8 @@ def count_points(e: PieceExpr, q: int) -> int:
 
 def _lagrange_interpolate(points: list[tuple[int, int]]) -> list[Fraction]:
     """Coefficients (ascending) of the interpolating polynomial."""
+    from fractions import Fraction
+
     n = len(points)
     coeffs = [Fraction(0)] * n
     for i, (xi, yi) in enumerate(points):
@@ -405,7 +446,7 @@ def _lagrange_interpolate(points: list[tuple[int, int]]) -> list[Fraction]:
     return coeffs
 
 
-@dataclass(frozen=True)
+@frozen
 class VerificationResult:
     ok: bool
     witness: LaurentPoly | None
@@ -455,7 +496,7 @@ def verify_polynomial_count(e: PieceExpr, qs: list[int]) -> VerificationResult:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@frozen
 class Ref:
     """Reference to a previously defined script symbol."""
 
@@ -465,13 +506,13 @@ class Ref:
 ScriptExpr = Union[PieceExpr, Ref, DisjointUnion, Product, Difference]
 
 
-@dataclass(frozen=True)
+@frozen
 class ExprDef:
     name: str
     expr: ScriptExpr
 
 
-@dataclass(frozen=True)
+@frozen
 class BlowupDef:
     """One blow-up relation step; the solved slot is bound to ``name``."""
 
@@ -480,9 +521,9 @@ class BlowupDef:
     given: tuple[tuple[str, ScriptExpr], ...]  # the other three slots
 
 
-@dataclass(frozen=True)
+@frozen
 class BetaScript:
-    defs: tuple[Union[ExprDef, BlowupDef], ...] = field(default_factory=tuple)
+    defs: tuple[Union[ExprDef, BlowupDef], ...] = ()
 
 
 class _ScriptEnv:
@@ -502,13 +543,13 @@ class _ScriptEnv:
         if isinstance(e, Product):
             total = ONE
             for p in e.parts:
-                total = total * self.eval(p)
+                total = _bounded_product(total, self.eval(p))
             return total
         if isinstance(e, Difference):
             bw = self.eval(e.whole)
             bp = self.eval(e.part)
             if bp and (not bw or bp.degree > bw.degree):
-                raise ValueError(
+                raise InputError(
                     f"difference degree check failed in script "
                     f"({format_poly(bw)} minus {format_poly(bp)})"
                 )
@@ -563,7 +604,10 @@ def atom_from_json(obj: dict) -> Atom:
         raise InputError(f"an atom object must have exactly one key: {obj!r}")
     (key, value), = obj.items()
     if key in _ATOM_KEYS:
-        return _ATOM_KEYS[key](int(value))
+        try:
+            return _ATOM_KEYS[key](int(value))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise InputError(f"bad {key} atom {value!r}: {exc}") from exc
     if key == "custom":
         try:
             count = value.get("count")
@@ -573,7 +617,9 @@ def atom_from_json(obj: dict) -> Atom:
                 dim=int(value["dim"]),
                 count_poly=parse_poly(count) if count is not None else None,
             )
-        except (KeyError, TypeError) as exc:
+        except InputError:
+            raise
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InputError(f"bad custom atom {value!r}: {exc}") from exc
     raise InputError(f"unknown atom kind {key!r}")
 
@@ -634,9 +680,11 @@ def expr_to_json(e: ScriptExpr) -> dict:
 
 def script_from_json(data: dict | str) -> BetaScript:
     if isinstance(data, str):
+        import json
+
         try:
             data = json.loads(data)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise InputError(f"bad script JSON: {exc}") from exc
     try:
         raw_defs = data["defs"]

@@ -15,10 +15,9 @@ condition can be checked from the combinatorics alone.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
 
+from ._value import frozen
 from .errors import InputError, UnsupportedComputationError
 from .jets import (
     _VARIANT_LEVEL,
@@ -46,7 +45,7 @@ from .ring import (
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@frozen
 class Component:
     """One exceptional or strict-transform component with its multiplicities."""
 
@@ -60,7 +59,7 @@ class Component:
             raise ValueError(f"component {self.id!r}: N and nu must be >= 1")
 
 
-@dataclass(frozen=True)
+@frozen
 class StratumData:
     """Invariants attached to the boundary stratum of a component set I."""
 
@@ -74,7 +73,7 @@ class StratumData:
             raise ValueError("a stratum needs a nonempty component set")
 
 
-@dataclass(frozen=True)
+@frozen
 class ResolutionDatum:
     dimension: int
     components: tuple[Component, ...]
@@ -117,9 +116,11 @@ class ResolutionDatum:
 
 def resolution_from_json(data: dict | str) -> ResolutionDatum:
     if isinstance(data, str):
+        import json
+
         try:
             data = json.loads(data)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise InputError(f"bad resolution JSON: {exc}") from exc
     try:
         components = tuple(
@@ -311,7 +312,7 @@ def ts_convolve(zf: ZetaSeries, zg: ZetaSeries) -> ZetaSeries:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@frozen
 class InvariantTriple:
     """The three series attached to one germ."""
 
@@ -332,7 +333,7 @@ def germ_invariants(g: Germ, order: int) -> InvariantTriple:
     )
 
 
-@dataclass(frozen=True)
+@frozen
 class Distinguished:
     """First witnessing coefficient where the two invariant triples differ."""
 
@@ -342,7 +343,7 @@ class Distinguished:
     right: LaurentPoly
 
 
-@dataclass(frozen=True)
+@frozen
 class NotDistinguished:
     """All compared coefficients agree up to the truncation order.
 

@@ -185,6 +185,30 @@ class TestBeta:
         assert err == ("unsupported: torus rank 20000 exceeds 14291: the coefficients "
                        "of (u-1)^20000 would have more than 4300 digits\n")
 
+    def test_large_product_rejected_at_once(self, tmp_path):
+        path = tmp_path / "product.json"
+        torus = {"atom": {"torus": 3000}}
+        path.write_text(json.dumps(
+            {"defs": [{"name": "P", "expr": {"product": [torus, torus]}}]}))
+        rc, out, err = run_cli("beta", "--script", str(path), timeout=5)
+        assert rc == 2 and out == ""
+        assert err.startswith("unsupported: ") and "work bound" in err
+        assert "Traceback" not in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("text", [
+        json.dumps({"defs": [{"name": "A", "expr": {"atom": {"affine": "x"}}}]}),
+        json.dumps({"defs": [{"name": "A", "expr": {"atom": {"affine": -1}}}]}),
+        '{"defs": [{"name": "A", "expr": ' + '{"union": [' * 3000
+        + '{"atom": {"affine": 1}}' + ']}' * 3000 + '}]}',
+    ], ids=["non-integer", "negative", "deep"])
+    def test_malformed_script_is_one_error_line(self, tmp_path, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        rc, out, err = run_cli("beta", "--script", str(path), timeout=5)
+        assert rc == 1 and out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert err.count("\n") == 1
+
     def test_large_affine_atom_is_one_term(self, tmp_path):
         path = tmp_path / "big.json"
         path.write_text(json.dumps(
@@ -206,6 +230,17 @@ class TestClassify:
         assert rc == 0
         assert "p = 4" in out and "q = 6" in out
         assert "eps_p = plus" in out and "eps_q = minus" in out
+
+    @pytest.mark.parametrize("germ, order", [
+        ("x^2*y^3", "64"),
+        ("x^2+y^3+z^5", "16"),
+        ("x^4", "64"),
+    ], ids=["monomial", "three-variable", "one-variable"])
+    def test_germ_must_be_two_variable_diagonal(self, germ, order):
+        rc, out, err = run_cli("classify", "--germ", germ, "--order", order, timeout=5)
+        assert rc == 2 and out == ""
+        assert err == ("unsupported: classify --germ needs a two-variable diagonal "
+                       f"germ e1*x^p + e2*y^q, got {germ}\n")
 
     def test_series_files(self, tmp_path):
         from arczeta import germ_invariants, parse_germ

@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -32,6 +33,7 @@ from arczeta import (
 )
 from arczeta.errors import InputError, RingBoundError
 from arczeta.ring import ONE, U
+from arczeta.vpoly import expr_to_json
 
 from conftest import poly
 
@@ -96,6 +98,41 @@ class TestBetaExpr:
     def test_difference_degree_check(self):
         with pytest.raises(ValueError):
             beta_expr(difference(Affine(1), Affine(2)))
+
+    @pytest.mark.parametrize("parts", [
+        (Torus(3), ProjSpace(2), Sphere(1)),
+        (Torus(1000), Torus(10)),
+        (ProjSpace(1500), ProjSpace(1500)),
+        (Torus(14291), Affine(5)),
+        (Affine(3), PuncturedAffine(0)),
+        # sparse: dense rows far over the work bound, but few nonzero terms
+        (Sphere(100000), Sphere(100000)),
+        (PuncturedAffine(10000), PuncturedAffine(10000)),
+        (Custom("g", poly("u^500000+u^250000-1"), 500000),
+         Custom("h", poly("u^3000-u^1500+1"), 3000)),
+    ], ids=["mixed", "torus", "long", "largest-torus", "zero", "sparse-sphere",
+            "sparse-punctured", "sparse-custom"])
+    def test_products_within_the_bounds_are_plain_products(self, parts):
+        expected = ONE
+        for part in parts:
+            expected = expected * beta_atom(part)
+        assert beta_expr(product(*parts)) == expected
+        script = {"defs": [{"name": "P", "expr": expr_to_json(product(*parts))}]}
+        assert run_script(script_from_json(script))["P"] == expected
+
+    @pytest.mark.parametrize("parts, message", [
+        ((Torus(3000), Torus(3000)), "exceeds the work bound"),
+        ((Custom("g", poly("u^600000+1"), 600000),
+          Custom("g", poly("u^600000+1"), 600000)), "1048576 coefficients"),
+        ((Affine(2**30 + 1), Affine(2**30 + 1)), "out of supported range"),
+        ((Custom("c", poly("9" * 4000), 0), Custom("c", poly("9" * 4000), 0)),
+         "more than 4300 digits"),
+    ], ids=["work", "span", "exponent", "digits"])
+    def test_oversized_products_refused_before_multiplying(self, parts, message):
+        start = time.perf_counter()
+        with pytest.raises(RingBoundError, match=message):
+            beta_expr(product(*parts))
+        assert time.perf_counter() - start < 1
 
     def test_dimension_is_degree(self):
         e = union(product(Torus(2), Affine(1)), ProjSpace(2))
