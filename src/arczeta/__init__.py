@@ -23,8 +23,7 @@ _EXPORTS = {
     "jets": (
         "DiagonalGerm", "Germ", "JetStratum", "MonomialGerm", "TieCurveRule",
         "UnsupportedGermError", "germ_to_str", "jet_beta", "jet_beta_sign",
-        "jet_strata", "parse_germ", "tie_curve_beta", "tie_curve_rule",
-        "zeta_direct",
+        "jet_strata", "parse_germ", "tie_curve_rule", "zeta_direct",
     ),
     "oracle": ("JET_SPACE_CAP", "count_jets_with_order"),
     "ring": (
@@ -37,15 +36,14 @@ _EXPORTS = {
         "DisjointUnion", "ExprDef", "Points", "Product", "ProjSpace",
         "PuncturedAffine", "Ref", "Sphere", "Torus", "VerificationResult",
         "beta_atom", "beta_expr", "blowup_solve", "count_points", "difference",
-        "expr_dim", "product", "run_script", "script_from_json", "script_to_json",
-        "union", "verify_polynomial_count",
+        "expr_dim", "product", "run_script", "script_from_json", "union",
+        "verify_polynomial_count",
     ),
     "zeta": (
         "Component", "Distinguished", "InvariantTriple", "NotDistinguished",
         "ResolutionDatum", "StratumData", "closed_form", "compare_invariants",
         "dl_expr", "dl_naive", "dl_sign", "germ_invariants",
-        "resolution_from_json", "resolution_to_json", "ts_coefficients",
-        "ts_convolve",
+        "resolution_from_json", "ts_convolve",
     ),
 }
 _ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -17,8 +17,6 @@ from .ring import DEFAULT_ORDER, ZetaSeries, format_poly, format_series
 # zeta-germ needs jets and ring, beta vpoly and ring, oracle jets, ring and
 # oracle; json is imported only to read or write a JSON document
 
-_SIGN_OF = {"plus": 1, "minus": -1}
-
 TS_CAVEAT = (
     "note: the convolution identity assumes both summand germs are positive "
     "or both are negative"
@@ -110,14 +108,16 @@ def _cmd_zeta_germ(args) -> tuple[str, dict]:
 
 
 def _cmd_zeta_res(args) -> tuple[str, dict]:
+    from .jets import variant_level
     from .zeta import dl_naive, dl_sign, resolution_from_json
 
     with open(args.file, "r", encoding="utf-8") as fh:
         datum = resolution_from_json(fh.read())
-    if args.sign == "naive":
-        z = dl_naive(datum, args.order)
+    level = variant_level(args.sign)
+    if level:
+        z = dl_sign(datum, level, args.order)
     else:
-        z = dl_sign(datum, _SIGN_OF[args.sign], args.order)
+        z = dl_naive(datum, args.order)
     text = format_series(z) + "\n"
     payload = _series_payload(z, {"file": args.file, "variant": args.sign})
     return text, payload
@@ -180,11 +180,22 @@ def _cmd_classify(args) -> tuple[str, dict]:
 
 
 def _cmd_ts(args) -> tuple[str, dict]:
-    from .jets import germ_to_str, parse_germ, zeta_direct
+    from .jets import DiagonalGerm, _is_definite, germ_to_str, parse_germ, zeta_direct
     from .zeta import ts_convolve
 
     left = parse_germ(args.left)
     right = parse_germ(args.right)
+    # the convolution identity needs two positive or two negative germs:
+    # diagonal, with every exponent even and one sign throughout
+    definite = all(
+        isinstance(g, DiagonalGerm) and _is_definite(g.terms) for g in (left, right)
+    )
+    if not definite or left.signs[0] != right.signs[0]:
+        raise UnsupportedComputationError(
+            "ts needs two positive or two negative diagonal germs (every "
+            f"exponent even, every sign equal), got {germ_to_str(left)} and "
+            f"{germ_to_str(right)}"
+        )
     zf = zeta_direct(left, args.order)
     zg = zeta_direct(right, args.order)
     z = ts_convolve(zf, zg)

@@ -49,6 +49,13 @@ Variant = Literal["naive", "plus", "minus"]
 _VARIANT_LEVEL = {"naive": 0, "plus": 1, "minus": -1}
 
 
+def variant_level(variant: str) -> int:
+    """The level 0, +1 or -1 that the naive, plus or minus variant fixes."""
+    if variant not in _VARIANT_LEVEL:
+        raise ValueError(f"unknown variant {variant!r}")
+    return _VARIANT_LEVEL[variant]
+
+
 class UnsupportedGermError(UnsupportedComputationError):
     """A coefficient request hit a regime with no supported evaluation rule."""
 
@@ -171,7 +178,8 @@ def _parse_monomial(s: str) -> MonomialGerm:
 def _parse_diagonal(s: str) -> DiagonalGerm:
     pieces = re.findall(r"[+-]?[^+-]+", s)
     if "".join(pieces) != s:
-        raise InputError(f"cannot parse germ {text_snippet(s)}")
+        snippet = s if len(s) < 40 else s[:37] + "..."
+        raise InputError(f"cannot parse germ {snippet!r}")
     terms = []
     last = -1
     for piece in pieces:
@@ -187,10 +195,6 @@ def _parse_diagonal(s: str) -> DiagonalGerm:
         return DiagonalGerm(terms=tuple(terms))
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-
-
-def text_snippet(s: str) -> str:
-    return repr(s if len(s) < 40 else s[:37] + "...")
 
 
 def germ_to_str(g: Germ) -> str:
@@ -276,10 +280,6 @@ def tie_curve_rule(p: int, q: int, e1: int, e2: int, level: int) -> TieCurveRule
     return TieCurveRule(p=p, q=q, e1=e1, e2=e2, level=level, beta=beta, mechanism=how)
 
 
-def tie_curve_beta(p: int, q: int, e1: int, e2: int, level: int) -> LaurentPoly:
-    return tie_curve_rule(p, q, e1, e2, level).beta
-
-
 # ---------------------------------------------------------------------------
 # leading-form invariants for tied coordinate sets
 # ---------------------------------------------------------------------------
@@ -303,7 +303,7 @@ def _leading_zero_beta(terms: list[tuple[int, int]], n: int) -> LaurentPoly:
         return ONE  # sign * a^p = 0 only at a = 0
     if len(terms) == 2:
         (s1, p1), (s2, p2) = terms
-        return tie_curve_beta(p1, p2, s1, s2, 0)
+        return tie_curve_rule(p1, p2, s1, s2, 0).beta
     if _is_definite(terms):
         return ONE
     raise UnsupportedGermError(
@@ -318,7 +318,7 @@ def _leading_level_beta(terms: list[tuple[int, int]], level: int, n: int) -> Lau
         return LaurentPoly.const(_real_root_count(p, s * level))
     if len(terms) == 2:
         (s1, p1), (s2, p2) = terms
-        return tie_curve_beta(p1, p2, s1, s2, level)
+        return tie_curve_rule(p1, p2, s1, s2, level).beta
     if _is_definite(terms):
         if terms[0][0] == level:
             # definite surface of matching sign: Nash-isomorphic to a sphere
@@ -371,11 +371,11 @@ def _monomial_condition(g: MonomialGerm, level: int) -> tuple[LaurentPoly, str]:
     )
 
 
-def _monomial_strata(g: MonomialGerm, n: int, variant: Variant) -> list[JetStratum]:
+def _monomial_strata(g: MonomialGerm, n: int, level: int) -> list[JetStratum]:
     active = [i for i, e in enumerate(g.exponents) if e > 0]
     exps = [g.exponents[i] for i in active]
     dummies = g.dim - len(active)
-    cond_beta, cond = _monomial_condition(g, _VARIANT_LEVEL[variant])
+    cond_beta, cond = _monomial_condition(g, level)
 
     strata: list[JetStratum] = []
 
@@ -411,15 +411,14 @@ def _monomial_strata(g: MonomialGerm, n: int, variant: Variant) -> list[JetStrat
     return strata
 
 
-def _diagonal_strata(g: DiagonalGerm, n: int, variant: Variant) -> list[JetStratum]:
-    level = _VARIANT_LEVEL[variant]
+def _diagonal_strata(g: DiagonalGerm, n: int, level: int) -> list[JetStratum]:
     exps = g.exponents
     strata: list[JetStratum] = []
     for s in range(1, n + 1):
         tied = [i for i, p in enumerate(exps) if s % p == 0]
         if not tied:
             continue
-        tied_terms = [g.terms[i] for i in tied]
+        lead, cancel = _tie_betas([g.terms[i] for i in tied], level, n)
         # per coordinate, the s//p_i lowest slots are constrained (zero for
         # untied coordinates, zero below a leading slot that belongs to the
         # condition variety for tied ones); the rest are free
@@ -428,49 +427,22 @@ def _diagonal_strata(g: DiagonalGerm, n: int, variant: Variant) -> list[JetStrat
         for i, p in enumerate(exps):
             k_min = s // p if i in tied else s // p + 1
             orders_list.append(k_min if k_min <= n else None)
-        orders = tuple(orders_list)
+        depth = n - s
         if s == n:
-            if level == 0:
-                cond_beta = LaurentPoly.u_power(len(tied)) - _leading_zero_beta(
-                    tied_terms, n
-                )
-                cond = "leading form nonzero"
-            else:
-                cond_beta = _leading_level_beta(tied_terms, level, n)
-                cond = f"leading form equal to {level:+d}"
-            if cond_beta:
-                strata.append(
-                    JetStratum(
-                        orders=orders,
-                        level=s,
-                        depth=0,
-                        condition=cond,
-                        condition_beta=cond_beta,
-                        free_dims=free,
-                    )
-                )
+            cond_beta = lead
+            cond = "leading form nonzero" if level == 0 else (
+                f"leading form equal to {level:+d}"
+            )
         else:
-            if len(tied) == 1:
-                continue  # a single leading term cannot cancel
-            cancel = _leading_zero_beta(tied_terms, n) - ONE  # punctured zero set
-            if not cancel:
-                continue
-            depth = n - s
-            if level == 0:
-                cond_beta = cancel * (U - ONE)
-                cond = (
-                    f"leading form cancels through {depth} steps, "
-                    "then a nonzero value"
-                )
-            else:
-                cond_beta = cancel
-                cond = (
-                    f"leading form cancels through {depth} steps, "
-                    f"then the value {level:+d}"
-                )
+            # the leading form cancels through the depth steps, each cutting
+            # one free slot, then meets the value the variant asks for
+            cond_beta = cancel
+            then = "a nonzero value" if level == 0 else f"the value {level:+d}"
+            cond = f"leading form cancels through {depth} steps, then {then}"
+        if cond_beta:
             strata.append(
                 JetStratum(
-                    orders=orders,
+                    orders=tuple(orders_list),
                     level=s,
                     depth=depth,
                     condition=cond,
@@ -489,12 +461,11 @@ def jet_strata(g: Germ, n: int, variant: Variant = "naive") -> list[JetStratum]:
     """
     if n < 1:
         raise ValueError("the order n must be a positive integer")
-    if variant not in _VARIANT_LEVEL:
-        raise ValueError(f"unknown variant {variant!r}")
+    level = variant_level(variant)
     if isinstance(g, MonomialGerm):
-        return _monomial_strata(g, n, variant)
+        return _monomial_strata(g, n, level)
     if isinstance(g, DiagonalGerm):
-        return _diagonal_strata(g, n, variant)
+        return _diagonal_strata(g, n, level)
     raise TypeError(f"not a germ: {g!r}")
 
 
@@ -524,9 +495,7 @@ def zeta_direct(g: Germ, order: int, variant: Variant = "naive") -> ZetaSeries:
     """
     if order < 1:
         raise ValueError("truncation order must be a positive integer")
-    if variant not in _VARIANT_LEVEL:
-        raise ValueError(f"unknown variant {variant!r}")
-    level = _VARIANT_LEVEL[variant]
+    level = variant_level(variant)
     if isinstance(g, MonomialGerm):
         return ZetaSeries(order, _monomial_sweep(g, order, level))
     if isinstance(g, DiagonalGerm):

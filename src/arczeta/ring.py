@@ -333,6 +333,8 @@ def parse_poly(text: str) -> LaurentPoly:
     Terms are ``[sign][integer][*]u^[integer]`` with ``u`` alone meaning u^1
     and a bare integer meaning u^0.
     """
+    if not isinstance(text, str):
+        raise InputError(f"a polynomial must be a string, got {text!r}")
     s = text.replace(" ", "")
     if not s:
         raise InputError("empty polynomial string")
@@ -484,9 +486,11 @@ class ZetaSeries:
             order = data["order"]
             terms = data["terms"]
             coeffs = {int(t["n"]): parse_poly(t["coeff"]) for t in terms}
-        except (KeyError, TypeError) as exc:
+            return ZetaSeries(order, coeffs)
+        except InputError:
+            raise
+        except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"bad series document: {exc}") from exc
-        return ZetaSeries(order, coeffs)
 
 
 def format_series(z: ZetaSeries) -> str:

@@ -206,30 +206,37 @@ def beta_atom(a: Atom) -> LaurentPoly:
     raise TypeError(f"not an atom: {a!r}")
 
 
-def beta_expr(e: PieceExpr) -> LaurentPoly:
-    """Structural evaluation: unions add, products multiply, differences subtract."""
+def beta_expr(
+    e: ScriptExpr, symbols: dict[str, LaurentPoly] | None = None
+) -> LaurentPoly:
+    """Structural evaluation: unions add, products multiply, differences subtract.
+
+    A :class:`Ref` reads its value from ``symbols``, the names a script has
+    defined so far.
+    """
+    if isinstance(e, Ref):
+        if symbols is None or e.name not in symbols:
+            raise InputError(f"undefined symbol {e.name!r}")
+        return symbols[e.name]
     if isinstance(e, DisjointUnion):
         total = ZERO
         for p in e.parts:
-            total = total + beta_expr(p)
+            total = total + beta_expr(p, symbols)
         return total
     if isinstance(e, Product):
         total = ONE
         for p in e.parts:
-            total = _bounded_product(total, beta_expr(p))
+            total = _bounded_product(total, beta_expr(p, symbols))
         return total
     if isinstance(e, Difference):
-        bw = beta_expr(e.whole)
-        bp = beta_expr(e.part)
+        bw = beta_expr(e.whole, symbols)
+        bp = beta_expr(e.part, symbols)
         if bp and (not bw or bp.degree > bw.degree):
-            raise ValueError(
-                "difference degree check failed: the subtracted part has "
-                "larger dimension than the whole"
+            raise InputError(
+                f"difference degree check failed in script "
+                f"({format_poly(bw)} minus {format_poly(bp)})"
             )
-        result = bw - bp
-        if result and bw and result.degree > bw.degree:
-            raise ValueError("difference degree check failed")
-        return result
+        return bw - bp
     return beta_atom(e)
 
 
@@ -526,67 +533,37 @@ class BetaScript:
     defs: tuple[Union[ExprDef, BlowupDef], ...] = ()
 
 
-class _ScriptEnv:
-    def __init__(self):
-        self.values: dict[str, LaurentPoly] = {}
-
-    def eval(self, e: ScriptExpr) -> LaurentPoly:
-        if isinstance(e, Ref):
-            if e.name not in self.values:
-                raise InputError(f"undefined symbol {e.name!r}")
-            return self.values[e.name]
-        if isinstance(e, DisjointUnion):
-            total = ZERO
-            for p in e.parts:
-                total = total + self.eval(p)
-            return total
-        if isinstance(e, Product):
-            total = ONE
-            for p in e.parts:
-                total = _bounded_product(total, self.eval(p))
-            return total
-        if isinstance(e, Difference):
-            bw = self.eval(e.whole)
-            bp = self.eval(e.part)
-            if bp and (not bw or bp.degree > bw.degree):
-                raise InputError(
-                    f"difference degree check failed in script "
-                    f"({format_poly(bw)} minus {format_poly(bp)})"
-                )
-            return bw - bp
-        return beta_atom(e)
+#: blow-up slot -> the keyword of :func:`blowup_solve` that takes its value
+_BLOWUP_SLOTS = {"X": "beta_x", "C": "beta_c", "E": "beta_e", "Bl": "beta_bl"}
 
 
 def run_script(script: BetaScript) -> dict[str, LaurentPoly]:
     """Evaluate the definitions top to bottom; returns every named value."""
-    env = _ScriptEnv()
-    slots = ("X", "C", "E", "Bl")
+    values: dict[str, LaurentPoly] = {}
     for d in script.defs:
-        if d.name in env.values:
+        if d.name in values:
             raise InputError(f"symbol {d.name!r} defined twice")
         if isinstance(d, ExprDef):
-            env.values[d.name] = env.eval(d.expr)
+            values[d.name] = beta_expr(d.expr, values)
             continue
-        if d.solve_for not in slots:
+        if d.solve_for not in _BLOWUP_SLOTS:
             raise InputError(f"blow-up step solves for unknown slot {d.solve_for!r}")
         given = dict(d.given)
-        if set(given) != set(slots) - {d.solve_for}:
+        if set(given) != set(_BLOWUP_SLOTS) - {d.solve_for}:
             raise InputError(
                 f"blow-up step for {d.name!r} must give exactly the three "
                 f"slots other than {d.solve_for!r}"
             )
-        kwargs = {
-            "beta_x": env.eval(given["X"]) if "X" in given else None,
-            "beta_c": env.eval(given["C"]) if "C" in given else None,
-            "beta_e": env.eval(given["E"]) if "E" in given else None,
-            "beta_bl": env.eval(given["Bl"]) if "Bl" in given else None,
-        }
-        env.values[d.name] = blowup_solve(**kwargs)
-    return dict(env.values)
+        values[d.name] = blowup_solve(**{
+            keyword: beta_expr(given[slot], values)
+            for slot, keyword in _BLOWUP_SLOTS.items()
+            if slot in given
+        })
+    return values
 
 
 # ---------------------------------------------------------------------------
-# JSON (de)serialization of scripts and expressions
+# reading scripts and expressions from JSON
 # ---------------------------------------------------------------------------
 
 _ATOM_KEYS = {
@@ -609,6 +586,8 @@ def atom_from_json(obj: dict) -> Atom:
         except (TypeError, ValueError, OverflowError) as exc:
             raise InputError(f"bad {key} atom {value!r}: {exc}") from exc
     if key == "custom":
+        if not isinstance(value, dict):
+            raise InputError(f"a custom atom needs an object: {value!r}")
         try:
             count = value.get("count")
             return Custom(
@@ -624,29 +603,6 @@ def atom_from_json(obj: dict) -> Atom:
     raise InputError(f"unknown atom kind {key!r}")
 
 
-_ATOM_PARAM = {
-    Affine: ("affine", "m"),
-    Torus: ("torus", "k"),
-    PuncturedAffine: ("punctured_affine", "m"),
-    Points: ("points", "c"),
-    ProjSpace: ("proj_space", "k"),
-    Sphere: ("sphere", "k"),
-}
-
-
-def atom_to_json(a: Atom) -> dict:
-    if isinstance(a, Custom):
-        body = {"name": a.name, "beta": format_poly(a.beta), "dim": a.dim}
-        if a.count_poly is not None:
-            body["count"] = format_poly(a.count_poly)
-        return {"custom": body}
-    entry = _ATOM_PARAM.get(type(a))
-    if entry is None:
-        raise TypeError(f"not an atom: {a!r}")
-    key, attr = entry
-    return {key: getattr(a, attr)}
-
-
 def expr_from_json(node: dict) -> ScriptExpr:
     if not isinstance(node, dict) or len(node) != 1:
         raise InputError(f"an expression node must have exactly one key: {node!r}")
@@ -655,6 +611,8 @@ def expr_from_json(node: dict) -> ScriptExpr:
         return atom_from_json(value)
     if key == "ref":
         return Ref(str(value))
+    if key in ("union", "product", "difference") and not isinstance(value, list):
+        raise InputError(f"{key} takes a list of expressions: {value!r}")
     if key == "union":
         return DisjointUnion(tuple(expr_from_json(v) for v in value))
     if key == "product":
@@ -666,18 +624,6 @@ def expr_from_json(node: dict) -> ScriptExpr:
     raise InputError(f"unknown expression node {key!r}")
 
 
-def expr_to_json(e: ScriptExpr) -> dict:
-    if isinstance(e, Ref):
-        return {"ref": e.name}
-    if isinstance(e, DisjointUnion):
-        return {"union": [expr_to_json(p) for p in e.parts]}
-    if isinstance(e, Product):
-        return {"product": [expr_to_json(p) for p in e.parts]}
-    if isinstance(e, Difference):
-        return {"difference": [expr_to_json(e.whole), expr_to_json(e.part)]}
-    return {"atom": atom_to_json(e)}
-
-
 def script_from_json(data: dict | str) -> BetaScript:
     if isinstance(data, str):
         import json
@@ -686,22 +632,22 @@ def script_from_json(data: dict | str) -> BetaScript:
             data = json.loads(data)
         except (json.JSONDecodeError, RecursionError) as exc:
             raise InputError(f"bad script JSON: {exc}") from exc
-    try:
-        raw_defs = data["defs"]
-    except (KeyError, TypeError) as exc:
-        raise InputError("a script document needs a 'defs' list") from exc
+    raw_defs = data.get("defs") if isinstance(data, dict) else None
+    if not isinstance(raw_defs, list):
+        raise InputError("a script document needs a 'defs' list")
     defs: list[ExprDef | BlowupDef] = []
     for raw in raw_defs:
-        try:
-            name = raw["name"]
-        except (KeyError, TypeError) as exc:
-            raise InputError(f"script definition without a name: {raw!r}") from exc
+        name = raw.get("name") if isinstance(raw, dict) else None
+        if not isinstance(name, str):
+            raise InputError(f"script definition without a name: {raw!r}")
         if "expr" in raw:
             defs.append(ExprDef(name=name, expr=expr_from_json(raw["expr"])))
         elif "blowup" in raw:
+            if not isinstance(raw["blowup"], dict):
+                raise InputError(f"blow-up step {name!r} needs an object of slots")
             blow = dict(raw["blowup"])
             solve_for = blow.pop("solve_for", None)
-            if solve_for is None:
+            if not isinstance(solve_for, str):
                 raise InputError(f"blow-up step {name!r} lacks 'solve_for'")
             given = tuple(
                 (slot, expr_from_json(node)) for slot, node in sorted(blow.items())
@@ -710,15 +656,3 @@ def script_from_json(data: dict | str) -> BetaScript:
         else:
             raise InputError(f"definition {name!r} needs 'expr' or 'blowup'")
     return BetaScript(defs=tuple(defs))
-
-
-def script_to_json(script: BetaScript) -> dict:
-    out = []
-    for d in script.defs:
-        if isinstance(d, ExprDef):
-            out.append({"name": d.name, "expr": expr_to_json(d.expr)})
-        else:
-            body = {slot: expr_to_json(e) for slot, e in d.given}
-            body["solve_for"] = d.solve_for
-            out.append({"name": d.name, "blowup": body})
-    return {"defs": out}

@@ -20,12 +20,12 @@ import math
 from ._value import frozen
 from .errors import InputError, UnsupportedComputationError
 from .jets import (
-    _VARIANT_LEVEL,
     DiagonalGerm,
     Germ,
     MonomialGerm,
     _real_root_count,
     germ_to_str,
+    variant_level,
     zeta_direct,
 )
 from .ring import (
@@ -34,7 +34,6 @@ from .ring import (
     LaurentPoly,
     ZetaExpr,
     ZetaSeries,
-    format_poly,
     parse_poly,
     zeta_expr,
     zeta_term,
@@ -125,66 +124,51 @@ def resolution_from_json(data: dict | str) -> ResolutionDatum:
     try:
         components = tuple(
             Component(
-                id=c["id"],
-                N=int(c["N"]),
-                nu=int(c["nu"]),
+                id=_required(c, "id", f"component {i}"),
+                N=int(_required(c, "N", f"component {i}")),
+                nu=int(_required(c, "nu", f"component {i}")),
                 over_origin=bool(c.get("over_origin", True)),
             )
-            for c in data["components"]
+            for i, c in enumerate(_required(data, "components", "the top level"), 1)
         )
         strata = tuple(
             StratumData(
-                components=tuple(s["I"]),
+                components=tuple(_required(s, "I", f"stratum {i}")),
                 beta0=parse_poly(s.get("beta0", "0")),
                 beta_plus=parse_poly(s.get("beta_plus", "0")),
                 beta_minus=parse_poly(s.get("beta_minus", "0")),
             )
-            for s in data.get("strata", [])
+            for i, s in enumerate(data.get("strata", []), 1)
         )
         datum = ResolutionDatum(
-            dimension=int(data["dimension"]),
+            dimension=int(_required(data, "dimension", "the top level")),
             components=components,
             strata=strata,
         )
-    except (KeyError, TypeError) as exc:
+    except TypeError as exc:
         raise InputError(f"bad resolution document: {exc}") from exc
     except ValueError as exc:
         raise InputError(str(exc)) from exc
     return datum
 
 
-def resolution_to_json(r: ResolutionDatum) -> dict:
-    return {
-        "dimension": r.dimension,
-        "components": [
-            {"id": c.id, "N": c.N, "nu": c.nu, "over_origin": c.over_origin}
-            for c in r.components
-        ],
-        "strata": [
-            {
-                "I": list(s.components),
-                "beta0": format_poly(s.beta0),
-                "beta_plus": format_poly(s.beta_plus),
-                "beta_minus": format_poly(s.beta_minus),
-            }
-            for s in r.strata
-        ],
-    }
+def _required(obj: dict, key: str, where: str):
+    """obj[key], or an InputError that names the key and where it is missing."""
+    try:
+        return obj[key]
+    except KeyError:
+        raise InputError(
+            f"bad resolution document: {where} has no {key!r} key"
+        ) from None
 
 
 def dl_expr(r: ResolutionDatum, variant: str = "naive") -> ZetaExpr:
     """The exact rational form of the zeta function of a resolution datum."""
+    level = variant_level(variant)
     terms = []
     for st in r.strata:
-        size = len(st.components)
-        if variant == "naive":
-            coef = (U - ONE) ** size * st.beta0
-        elif variant == "plus":
-            coef = (U - ONE) ** (size - 1) * st.beta_plus
-        elif variant == "minus":
-            coef = (U - ONE) ** (size - 1) * st.beta_minus
-        else:
-            raise ValueError(f"unknown variant {variant!r}")
+        beta = {0: st.beta0, 1: st.beta_plus, -1: st.beta_minus}[level]
+        coef = (U - ONE) ** (len(st.components) - (level != 0)) * beta
         if not coef:
             continue
         factors = []
@@ -220,9 +204,7 @@ def closed_form(g: Germ, variant: str = "naive") -> ZetaExpr:
     on record (monomials, one-variable powers, and x^2 + y^2).  Anything
     else raises, and the caller falls back to :func:`zeta_direct`.
     """
-    if variant not in _VARIANT_LEVEL:
-        raise ValueError(f"unknown variant {variant!r}")
-    level = _VARIANT_LEVEL[variant]
+    level = variant_level(variant)
 
     if isinstance(g, DiagonalGerm) and g.dim == 1:
         sign, k = g.terms[0]
@@ -270,37 +252,24 @@ def closed_form(g: Germ, variant: str = "naive") -> ZetaExpr:
 # ---------------------------------------------------------------------------
 
 
-def ts_coefficients(z: ZetaSeries) -> list[tuple[LaurentPoly, LaurentPoly]]:
-    """Pairs (a_n, A_n) with A_n = 1 - sum(a_j, j <= n), for n = 1..order.
-
-    A_n, scaled by the jet-space volume, is the invariant of the arcs whose
-    composed order exceeds n; A_0 = 1 and A_n - A_(n-1) = -a_n.
-    """
-    out = []
-    A = ONE
-    for n in range(1, z.order + 1):
-        a = z.coeff(n)
-        A = A - a
-        out.append((a, A))
-    return out
-
-
 def ts_convolve(zf: ZetaSeries, zg: ZetaSeries) -> ZetaSeries:
     """Coefficientwise convolution c_n = a_n B_n + A_n b_n + a_n b_n.
 
-    A_n = 1 - sum(a_j, j <= n) and likewise B_n.  The identity computes the
-    zeta function of f(x) + g(y) and is valid only when f and g are both
-    positive or both negative; that hypothesis cannot be read off the series
-    and remains the caller's responsibility.
+    A_n = 1 - sum(a_j, j <= n) and likewise B_n; A_n, scaled by the jet-space
+    volume, is the invariant of the arcs whose composed order exceeds n.  The
+    identity computes the zeta function of f(x) + g(y) and is valid only when
+    f and g are both positive or both negative; that hypothesis cannot be read
+    off the series and remains the caller's responsibility.
     """
     if zf.order != zg.order:
         raise ValueError(
             f"mismatched truncation orders {zf.order} and {zg.order}"
         )
     coeffs: dict[int, LaurentPoly] = {}
-    for n, ((a, A), (b, B)) in enumerate(
-        zip(ts_coefficients(zf), ts_coefficients(zg)), start=1
-    ):
+    A = B = ONE
+    for n in range(1, zf.order + 1):
+        a, b = zf.coeff(n), zg.coeff(n)
+        A, B = A - a, B - b
         c = a * B + A * b + a * b
         if c:
             coeffs[n] = c

@@ -5,6 +5,10 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+
+from arczeta.cli import main
 
 RESOLUTION_X2_Y2 = {
     "dimension": 2,
@@ -134,6 +138,26 @@ class TestZetaRes:
         path.write_text('{"dimension": 2, "components": []}')
         rc, _, err = run_cli("zeta-res", "--file", str(path))
         assert rc == 1
+
+    @pytest.mark.parametrize("path, key, where", [
+        (("dimension",), "dimension", "the top level"),
+        (("components",), "components", "the top level"),
+        (("components", 0, "id"), "id", "component 1"),
+        (("components", 0, "N"), "N", "component 1"),
+        (("components", 0, "nu"), "nu", "component 1"),
+        (("strata", 0, "I"), "I", "stratum 1"),
+    ], ids=["dimension", "components", "id", "N", "nu", "I"])
+    def test_missing_key_is_named(self, tmp_path, path, key, where):
+        doc = json.loads(json.dumps(RESOLUTION_X2_Y2))
+        holder = doc
+        for step in path[:-1]:
+            holder = holder[step]
+        del holder[path[-1]]
+        target = tmp_path / "res.json"
+        target.write_text(json.dumps(doc))
+        rc, out, err = run_cli("zeta-res", "--file", str(target), timeout=5)
+        assert (rc, out) == (1, "")
+        assert err == f"error: bad resolution document: {where} has no {key!r} key\n"
 
     @pytest.mark.parametrize("beta, message", [
         ("u^-3000000000", "u-exponent -3000000000 out of supported range"),
@@ -275,6 +299,19 @@ class TestClassify:
         assert rc == 1
 
 
+    @pytest.mark.parametrize("document, message", [
+        ({"order": 0, "terms": []}, "truncation order must be a positive integer"),
+        ({"order": 8, "terms": [{"n": "x", "coeff": "u"}]}, "invalid literal"),
+    ], ids=["order-0", "non-integer-n"])
+    def test_bad_series_document_is_one_error_line(self, tmp_path, document, message):
+        path = tmp_path / "series.json"
+        path.write_text(json.dumps(document))
+        rc, out, err = run_cli("classify", *["--series-file", str(path)] * 3, timeout=5)
+        assert (rc, out) == (1, "")
+        assert err.startswith("error: bad series document: ") and message in err
+        assert "Traceback" not in err and err.count("\n") == 1
+
+
 class TestTS:
     def test_convolution_with_caveat(self):
         rc, out, _ = run_cli("ts", "--left", "x^2", "--right", "x^2", "--order", "8")
@@ -292,6 +329,35 @@ class TestTS:
         )
         data = json.loads(out)
         assert data["notes"]
+
+
+    @pytest.mark.parametrize("left, right", [
+        ("x^3", "x^3"),
+        ("x^2", "-x^2"),
+        ("x^2", "x^3"),
+        ("x^2+y^3", "x^2"),
+        ("x^2-y^2", "x^2"),
+        ("x^2*y^2", "x^2"),
+        ("-x^4", "x^2*y^4"),
+    ], ids=["odd", "opposite-signs", "odd-right", "odd-term", "indefinite",
+            "monomial", "monomial-right"])
+    def test_pairs_outside_the_hypothesis_are_refused(self, left, right):
+        rc, out, err = run_cli("ts", f"--left={left}", f"--right={right}",
+                               "--order", "8", timeout=5)
+        assert (rc, out) == (2, "")
+        assert err.startswith("unsupported: ts needs two positive or two negative")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("left, right, total", [
+        ("x^2+y^2", "x^4", "x^2+y^2+z^4"),
+        ("-x^2-y^4", "-x^6", "-x^2-y^4-z^6"),
+    ])
+    def test_admitted_pair_is_the_zeta_function_of_the_sum(self, left, right, total):
+        rc, out, _ = run_cli("ts", f"--left={left}", f"--right={right}",
+                             "--order", "12")
+        assert rc == 0
+        _, expected, _ = run_cli("zeta-germ", f"--germ={total}", "--order", "12")
+        assert out.splitlines()[0] == expected.rstrip("\n")
 
 
 class TestCompare:
@@ -350,3 +416,108 @@ class TestOracle:
         )
         assert (rc, err) == (0, "")
         assert out == f"q={q}: jets={count} beta={count} PASS\n"
+
+
+# -- the JSON readers on random small documents --------------------------------
+
+SMALL_INT = st.integers(-2, 6)
+JSON_ANY = st.recursive(
+    st.none() | st.booleans() | SMALL_INT | st.sampled_from(["", "a", "u", "1.5"]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["a", "n", "I", "id"]), inner, max_size=2),
+    max_leaves=6,
+)
+POLY = st.sampled_from(["0", "1", "u", "u-1", "2*u+1", "u^-1", "u^2-u", "x", "u^"])
+
+
+def _shaped(**fields):
+    """A dict of the given fields, each at times absent or any JSON; or any JSON."""
+    field = {key: value | JSON_ANY for key, value in fields.items()}
+    return st.fixed_dictionaries({}, optional=field) | JSON_ANY
+
+
+SERIES_DOC = _shaped(
+    order=SMALL_INT,
+    terms=st.lists(_shaped(n=SMALL_INT, coeff=POLY), max_size=3),
+)
+RESOLUTION_DOC = _shaped(
+    dimension=SMALL_INT,
+    components=st.lists(_shaped(id=st.sampled_from(["E1", "E2"]), N=SMALL_INT,
+                                nu=SMALL_INT, over_origin=st.booleans()),
+                        max_size=3),
+    strata=st.lists(_shaped(I=st.lists(st.sampled_from(["E1", "E2"]), max_size=2),
+                            beta0=POLY, beta_plus=POLY, beta_minus=POLY),
+                    max_size=3),
+)
+ATOM = st.one_of(
+    st.dictionaries(st.sampled_from(["affine", "torus", "punctured_affine", "points",
+                                     "proj_space", "sphere", "cube"]),
+                    SMALL_INT | JSON_ANY, min_size=1, max_size=1),
+    st.builds(lambda body: {"custom": body},
+              _shaped(name=st.just("c"), beta=POLY, dim=SMALL_INT, count=POLY)),
+)
+EXPR = st.recursive(
+    st.builds(lambda atom: {"atom": atom}, ATOM)
+    | st.builds(lambda name: {"ref": name}, st.sampled_from(["A", "B"]) | JSON_ANY),
+    lambda inner: st.builds(
+        lambda key, parts: {key: parts},
+        st.sampled_from(["union", "product", "difference"]),
+        st.lists(inner, max_size=3) | JSON_ANY,
+    ),
+    max_leaves=5,
+)
+SLOTS = ("X", "C", "E", "Bl")
+SCRIPT_DOC = _shaped(defs=st.lists(st.one_of(
+    _shaped(name=st.sampled_from(["A", "B"]), expr=EXPR),
+    _shaped(name=st.sampled_from(["A", "B"]), blowup=st.builds(
+        lambda given, solve_for: {**given, "solve_for": solve_for},
+        st.dictionaries(st.sampled_from(SLOTS), EXPR, max_size=4),
+        st.sampled_from(SLOTS) | JSON_ANY,
+    )),
+), max_size=3))
+
+READER_SETTINGS = settings(
+    max_examples=150, deadline=2000,
+    suppress_health_check=[HealthCheck.function_scoped_fixture,
+                           HealthCheck.too_slow],
+)
+
+
+def _run_main(argv, capsys):
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code in (0, 1, 2)
+    if code:
+        assert out == "" and err.endswith("\n") and err.count("\n") == 1
+    return code, err
+
+
+class TestJsonReaders:
+    """Every document a reader can be given ends in output or one error line."""
+
+    @READER_SETTINGS
+    @given(documents=st.lists(SERIES_DOC, min_size=3, max_size=3))
+    @example(documents=[{"order": 0, "terms": []}] * 3)
+    @example(documents=[{"order": 8, "terms": [{"n": "x", "coeff": "u"}]}] * 3)
+    def test_series_files(self, tmp_path, capsys, documents):
+        argv = ["classify"]
+        for i, document in enumerate(documents):
+            path = tmp_path / f"series{i}.json"
+            path.write_text(json.dumps(document))
+            argv += ["--series-file", str(path)]
+        _run_main(argv, capsys)
+
+    @READER_SETTINGS
+    @given(document=RESOLUTION_DOC, sign=st.sampled_from(["naive", "plus", "minus"]))
+    def test_resolution_file(self, tmp_path, capsys, document, sign):
+        path = tmp_path / "res.json"
+        path.write_text(json.dumps(document))
+        _run_main(["zeta-res", "--file", str(path), "--order", "8", "--sign", sign],
+                  capsys)
+
+    @READER_SETTINGS
+    @given(document=SCRIPT_DOC)
+    def test_beta_script(self, tmp_path, capsys, document):
+        path = tmp_path / "script.json"
+        path.write_text(json.dumps(document))
+        _run_main(["beta", "--script", str(path)], capsys)

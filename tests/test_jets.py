@@ -12,7 +12,6 @@ from arczeta import (
     jet_beta_sign,
     jet_strata,
     parse_germ,
-    tie_curve_beta,
     tie_curve_rule,
     zeta_direct,
     zeta_expr,
@@ -88,7 +87,7 @@ class TestTieCurves:
         ],
     )
     def test_rule_table(self, p, q, e1, e2, level, expected):
-        assert tie_curve_beta(p, q, e1, e2, level) == poly(expected)
+        assert tie_curve_rule(p, q, e1, e2, level).beta == poly(expected)
 
     def test_rule_degree_bound(self):
         for p in range(1, 6):
@@ -110,7 +109,7 @@ class TestTieCurves:
                 for b in range(q)
                 if (a * a - b * b) % q == 0
             )
-            assert pts == tie_curve_beta(2, 2, 1, -1, 0).evaluate(q)
+            assert pts == tie_curve_rule(2, 2, 1, -1, 0).beta.evaluate(q)
         # {a^2 = b^3}: cuspidal, q points whenever cubing is bijective
         for q in (5, 11):
             pts = sum(
@@ -119,7 +118,7 @@ class TestTieCurves:
                 for b in range(q)
                 if (a * a - b * b * b) % q == 0
             )
-            assert pts == tie_curve_beta(2, 3, 1, -1, 0).evaluate(q)
+            assert pts == tie_curve_rule(2, 3, 1, -1, 0).beta.evaluate(q)
 
     def test_unit_circle_count(self):
         # {a^2 + b^2 = 1} at q = 3 mod 4
@@ -130,7 +129,7 @@ class TestTieCurves:
                 for b in range(q)
                 if (a * a + b * b) % q == 1
             )
-            assert pts == tie_curve_beta(2, 2, 1, 1, 1).evaluate(q)
+            assert pts == tie_curve_rule(2, 2, 1, 1, 1).beta.evaluate(q)
 
     def test_hyperbola_count(self):
         # {a^2 - b^2 = 1} is the rational curve {st = 1}: q - 1 points
@@ -141,7 +140,7 @@ class TestTieCurves:
                 for b in range(q)
                 if (a * a - b * b) % q == 1
             )
-            assert pts == q - 1 == tie_curve_beta(2, 2, 1, -1, 1).evaluate(q)
+            assert pts == q - 1 == tie_curve_rule(2, 2, 1, -1, 1).beta.evaluate(q)
 
 
 class TestStrata:

@@ -120,25 +120,24 @@ SURFACE = {
     "errors": "ArczetaError ClassifyError InputError UnsupportedComputationError",
     "jets": "DiagonalGerm Germ JetStratum MonomialGerm TieCurveRule "
             "UnsupportedGermError germ_to_str jet_beta jet_beta_sign jet_strata "
-            "parse_germ tie_curve_beta tie_curve_rule zeta_direct",
+            "parse_germ tie_curve_rule zeta_direct",
     "oracle": "JET_SPACE_CAP count_jets_with_order",
     "ring": "DEFAULT_ORDER LaurentPoly ZetaExpr ZetaSeries ZetaTerm expand_term "
             "format_poly format_series parse_poly zeta_expr zeta_term",
     "vpoly": "Affine BetaScript BlowupDef Custom Difference DisjointUnion ExprDef "
              "Points Product ProjSpace PuncturedAffine Ref Sphere Torus "
              "VerificationResult beta_atom beta_expr blowup_solve count_points "
-             "difference expr_dim product run_script script_from_json "
-             "script_to_json union verify_polynomial_count",
+             "difference expr_dim product run_script script_from_json union "
+             "verify_polynomial_count",
     "zeta": "Component Distinguished InvariantTriple NotDistinguished "
             "ResolutionDatum StratumData closed_form compare_invariants dl_expr "
-            "dl_naive dl_sign germ_invariants resolution_from_json "
-            "resolution_to_json ts_coefficients ts_convolve",
+            "dl_naive dl_sign germ_invariants resolution_from_json ts_convolve",
 }
 
 
 def test_package_surface():
     names = {name for names in SURFACE.values() for name in names.split()}
-    assert len(arczeta.__all__) == 88
+    assert len(arczeta.__all__) == 84
     assert set(arczeta.__all__) == names | set(SURFACE)
     for module_name, exported in SURFACE.items():
         module = importlib.import_module(f"arczeta.{module_name}")

@@ -27,13 +27,12 @@ from arczeta import (
     product,
     run_script,
     script_from_json,
-    script_to_json,
     union,
     verify_polynomial_count,
 )
 from arczeta.errors import InputError, RingBoundError
 from arczeta.ring import ONE, U
-from arczeta.vpoly import expr_to_json
+from arczeta.vpoly import BetaScript, ExprDef
 
 from conftest import poly
 
@@ -117,8 +116,8 @@ class TestBetaExpr:
         for part in parts:
             expected = expected * beta_atom(part)
         assert beta_expr(product(*parts)) == expected
-        script = {"defs": [{"name": "P", "expr": expr_to_json(product(*parts))}]}
-        assert run_script(script_from_json(script))["P"] == expected
+        script = BetaScript((ExprDef("P", product(*parts)),))
+        assert run_script(script)["P"] == expected
 
     @pytest.mark.parametrize("parts, message", [
         ((Torus(3000), Torus(3000)), "exceeds the work bound"),
@@ -289,11 +288,6 @@ class TestScripts:
         }
         with pytest.raises(InputError):
             run_script(script_from_json(bad))
-
-    def test_script_json_round_trip(self):
-        script = script_from_json(json.dumps(WHITNEY))
-        again = script_from_json(json.dumps(script_to_json(script)))
-        assert run_script(again) == run_script(script)
 
 
 class TestCounting:

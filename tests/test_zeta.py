@@ -1,6 +1,5 @@
 """Resolution-data evaluation, closed forms, convolution, comparison."""
 
-import json
 import tracemalloc
 
 import pytest
@@ -18,8 +17,6 @@ from arczeta import (
     germ_invariants,
     parse_germ,
     resolution_from_json,
-    resolution_to_json,
-    ts_coefficients,
     ts_convolve,
     zeta_direct,
     zeta_expr,
@@ -41,11 +38,6 @@ from conftest import (
 
 
 class TestResolutionDatum:
-    def test_json_round_trip(self):
-        datum = datum_x2_y4()
-        again = resolution_from_json(json.dumps(resolution_to_json(datum)))
-        assert again == datum
-
     def test_unknown_component_rejected(self):
         with pytest.raises(InputError):
             resolution_from_json(
@@ -279,19 +271,6 @@ class TestConvolution:
     def test_mismatched_orders_error(self):
         with pytest.raises(ValueError):
             ts_convolve(ZetaSeries(10), ZetaSeries(12))
-
-    def test_partial_sum_invariants(self):
-        from arczeta.ring import LaurentPoly
-
-        z = zeta_direct(parse_germ("x^2"), 12)
-        pairs = ts_coefficients(z)
-        prev_A = ONE  # A_0
-        for n, (a, A) in enumerate(pairs, start=1):
-            assert a == z.coeff(n)
-            assert A - prev_A == a * -1
-            prev_A = A
-            # for x^2 the tail invariant is 1/u^m at indices 2m and 2m+1
-            assert A == LaurentPoly.u_power(-(n // 2))
 
 
 class TestCompare:
