@@ -29,12 +29,6 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
-def _json_dumps(obj) -> str:
-    import json
-
-    return json.dumps(obj, indent=2) + "\n"
-
-
 def _add_common(p: argparse.ArgumentParser, *, sign: bool = False):
     p.add_argument("--order", type=int, default=DEFAULT_ORDER,
                    help="truncation order (default %(default)s)")
@@ -88,11 +82,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _series_payload(z: ZetaSeries, extra: dict) -> dict:
+def _series_output(
+    z: ZetaSeries, extra: dict, notes: tuple[str, ...] = ()
+) -> tuple[str, dict]:
+    """Text and JSON payload of a series; notes print after the series."""
     payload = dict(extra)
+    if notes:
+        payload["notes"] = list(notes)
     payload["order"] = z.order
     payload["series"] = z.to_json_dict()
-    return payload
+    return "".join(f"{line}\n" for line in (format_series(z), *notes)), payload
 
 
 def _cmd_zeta_germ(args) -> tuple[str, dict]:
@@ -100,11 +99,7 @@ def _cmd_zeta_germ(args) -> tuple[str, dict]:
 
     germ = parse_germ(args.germ)
     z = zeta_direct(germ, args.order, args.sign)
-    text = format_series(z) + "\n"
-    payload = _series_payload(
-        z, {"germ": germ_to_str(germ), "variant": args.sign}
-    )
-    return text, payload
+    return _series_output(z, {"germ": germ_to_str(germ), "variant": args.sign})
 
 
 def _cmd_zeta_res(args) -> tuple[str, dict]:
@@ -118,9 +113,7 @@ def _cmd_zeta_res(args) -> tuple[str, dict]:
         z = dl_sign(datum, level, args.order)
     else:
         z = dl_naive(datum, args.order)
-    text = format_series(z) + "\n"
-    payload = _series_payload(z, {"file": args.file, "variant": args.sign})
-    return text, payload
+    return _series_output(z, {"file": args.file, "variant": args.sign})
 
 
 def _cmd_beta(args) -> tuple[str, dict]:
@@ -128,11 +121,9 @@ def _cmd_beta(args) -> tuple[str, dict]:
 
     with open(args.script, "r", encoding="utf-8") as fh:
         script = script_from_json(fh.read())
-    values = run_script(script)
-    lines = [f"{name} = {format_poly(beta)}" for name, beta in values.items()]
-    text = "\n".join(lines) + "\n"
-    payload = {"betas": {name: format_poly(b) for name, b in values.items()}}
-    return text, payload
+    betas = {name: format_poly(b) for name, b in run_script(script).items()}
+    text = "\n".join(f"{name} = {beta}" for name, beta in betas.items()) + "\n"
+    return text, {"betas": betas}
 
 
 def _load_series_file(path: str) -> ZetaSeries:
@@ -166,16 +157,10 @@ def _cmd_classify(args) -> tuple[str, dict]:
         z, zp, zm = (_load_series_file(p) for p in args.series_file)
     else:
         raise InputError("classify needs --germ or exactly three --series-file")
-    report = classify(z, zp, zm)
-    payload = report.to_json_dict()
-    lines = [
-        f"p = {report.p}",
-        f"q = {report.q}",
-        f"eps_p = {report.eps_p.value}",
-        f"eps_q = {report.eps_q.value}",
-        f"status = {report.status.value}",
-    ]
-    lines.extend(f"note: {n}" for n in report.notes)
+    payload = classify(z, zp, zm).to_json_dict()
+    keys = ("p", "q", "eps_p", "eps_q", "status")
+    lines = [f"{key} = {payload[key]}" for key in keys]
+    lines.extend(f"note: {n}" for n in payload["notes"])
     return "\n".join(lines) + "\n", payload
 
 
@@ -199,16 +184,9 @@ def _cmd_ts(args) -> tuple[str, dict]:
     zf = zeta_direct(left, args.order)
     zg = zeta_direct(right, args.order)
     z = ts_convolve(zf, zg)
-    text = format_series(z) + "\n" + TS_CAVEAT + "\n"
-    payload = _series_payload(
-        z,
-        {
-            "left": germ_to_str(left),
-            "right": germ_to_str(right),
-            "notes": [TS_CAVEAT],
-        },
+    return _series_output(
+        z, {"left": germ_to_str(left), "right": germ_to_str(right)}, (TS_CAVEAT,)
     )
-    return text, payload
 
 
 def _cmd_oracle(args) -> tuple[str, dict]:
@@ -293,12 +271,15 @@ _COMMANDS = {
 
 
 def _emit(args, text: str, payload: dict) -> None:
-    output = _json_dumps(payload) if args.format == "json" else text
+    if args.format == "json":
+        import json
+
+        text = json.dumps(payload, indent=2) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(output)
+            fh.write(text)
     else:
-        sys.stdout.write(output)
+        sys.stdout.write(text)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -311,10 +292,7 @@ def main(argv: list[str] | None = None) -> int:
     except UnsupportedComputationError as exc:
         sys.stderr.write(f"unsupported: {exc}\n")
         return 2
-    except (InputError, OSError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
-    except ArczetaError as exc:
+    except (ArczetaError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
     _emit(args, text, payload)

@@ -225,11 +225,6 @@ def germ_to_str(g: Germ) -> str:
 class TieCurveRule:
     """Invariant of {e1*a^p + e2*b^q = level} in the plane, with its mechanism."""
 
-    p: int
-    q: int
-    e1: int
-    e2: int
-    level: int  # 0, +1 or -1
     beta: LaurentPoly
     mechanism: str
 
@@ -255,7 +250,7 @@ def tie_curve_rule(p: int, q: int, e1: int, e2: int, level: int) -> TieCurveRule
     if p < 1 or q < 1:
         raise ValueError("exponents must be positive")
     if e1 not in (1, -1) or e2 not in (1, -1) or level not in (0, 1, -1):
-        raise ValueError("signs and level must be in {+1, -1}")
+        raise ValueError("signs must be +1 or -1, and the level 0, +1 or -1")
     even = p % 2 == 0 and q % 2 == 0
     if level == 0:
         if even and e1 == e2:
@@ -277,7 +272,7 @@ def tie_curve_rule(p: int, q: int, e1: int, e2: int, level: int) -> TieCurveRule
             beta, how = U - ONE, "one circle through infinity minus two points"
     else:
         beta, how = U, "graph over the odd-exponent axis"
-    return TieCurveRule(p=p, q=q, e1=e1, e2=e2, level=level, beta=beta, mechanism=how)
+    return TieCurveRule(beta=beta, mechanism=how)
 
 
 # ---------------------------------------------------------------------------
@@ -291,28 +286,14 @@ def _is_definite(terms: list[tuple[int, int]]) -> bool:
 
 
 def _real_root_count(m: int, target: int) -> int:
-    """Number of real solutions t of t^m = target, for target = +1 or -1."""
-    if m % 2 == 1:
+    """Number of real solutions t of t^m = target, for target 0, +1 or -1."""
+    if target == 0 or m % 2 == 1:
         return 1
     return 2 if target == 1 else 0
 
 
-def _leading_zero_beta(terms: list[tuple[int, int]], n: int) -> LaurentPoly:
-    """beta of the full zero set of the leading form in R^len(terms)."""
-    if len(terms) == 1:
-        return ONE  # sign * a^p = 0 only at a = 0
-    if len(terms) == 2:
-        (s1, p1), (s2, p2) = terms
-        return tie_curve_rule(p1, p2, s1, s2, 0).beta
-    if _is_definite(terms):
-        return ONE
-    raise UnsupportedGermError(
-        f"indefinite three-way tie at T^{n}", n=n
-    )
-
-
-def _leading_level_beta(terms: list[tuple[int, int]], level: int, n: int) -> LaurentPoly:
-    """beta of {leading form = level} in R^len(terms), level = +-1."""
+def _level_set_beta(terms: list[tuple[int, int]], level: int, n: int) -> LaurentPoly:
+    """beta of {leading form = level} in R^len(terms), level 0, +1 or -1."""
     if len(terms) == 1:
         s, p = terms[0]
         return LaurentPoly.const(_real_root_count(p, s * level))
@@ -320,13 +301,11 @@ def _leading_level_beta(terms: list[tuple[int, int]], level: int, n: int) -> Lau
         (s1, p1), (s2, p2) = terms
         return tie_curve_rule(p1, p2, s1, s2, level).beta
     if _is_definite(terms):
-        if terms[0][0] == level:
-            # definite surface of matching sign: Nash-isomorphic to a sphere
-            return LaurentPoly.u_power(2) + ONE
-        return ZERO
-    raise UnsupportedGermError(
-        f"indefinite three-way tie at T^{n}", n=n
-    )
+        if not level:
+            return ONE  # the origin only
+        # definite surface of matching sign: Nash-isomorphic to a sphere
+        return LaurentPoly.u_power(2) + ONE if terms[0][0] == level else ZERO
+    raise UnsupportedGermError(f"indefinite three-way tie at T^{n}", n=n)
 
 
 # ---------------------------------------------------------------------------
@@ -342,15 +321,12 @@ class JetStratum:
     the stratum; None means no finite order is forced (the coordinate is
     inert, or it must vanish past the truncation).  ``condition_beta`` is
     the invariant of the leading-coefficient condition, including the
-    cancellation-step factors when ``depth`` > 0, and ``free_dims`` counts
-    the unconstrained jet coefficients, so that the stratum contributes
-    condition_beta * u^free_dims.
+    cancellation-step factors when the leading form cancels below n, and
+    ``free_dims`` counts the unconstrained jet coefficients, so that the
+    stratum contributes condition_beta * u^free_dims.
     """
 
     orders: tuple[int | None, ...]
-    level: int
-    depth: int
-    condition: str
     condition_beta: LaurentPoly
     free_dims: int
 
@@ -359,23 +335,24 @@ class JetStratum:
         return self.condition_beta.shift(self.free_dims)
 
 
-def _monomial_condition(g: MonomialGerm, level: int) -> tuple[LaurentPoly, str]:
-    """beta and text of the leading-coefficient condition, the same for every n."""
+def _monomial_condition(g: MonomialGerm, level: int) -> LaurentPoly:
+    """beta of the leading-coefficient condition, the same for every n.
+
+    Level 0 asks each leading coefficient to be nonzero; level +-1 asks
+    their product to be normalized to that sign.
+    """
     exps = [e for e in g.exponents if e > 0]
     if level == 0:
-        return (U - ONE) ** len(exps), "each leading coefficient nonzero"
+        return (U - ONE) ** len(exps)
     count = _real_root_count(math.gcd(*exps), level * g.unit_sign)
-    return (
-        LaurentPoly.const(count) * (U - ONE) ** (len(exps) - 1),
-        "leading product normalized to the requested sign",
-    )
+    return LaurentPoly.const(count) * (U - ONE) ** (len(exps) - 1)
 
 
 def _monomial_strata(g: MonomialGerm, n: int, level: int) -> list[JetStratum]:
     active = [i for i, e in enumerate(g.exponents) if e > 0]
     exps = [g.exponents[i] for i in active]
     dummies = g.dim - len(active)
-    cond_beta, cond = _monomial_condition(g, level)
+    cond_beta = _monomial_condition(g, level)
 
     strata: list[JetStratum] = []
 
@@ -400,12 +377,7 @@ def _monomial_strata(g: MonomialGerm, n: int, level: int) -> list[JetStratum]:
         if cond_beta:
             strata.append(
                 JetStratum(
-                    orders=tuple(orders),
-                    level=n,
-                    depth=0,
-                    condition=cond,
-                    condition_beta=cond_beta,
-                    free_dims=free,
+                    orders=tuple(orders), condition_beta=cond_beta, free_dims=free
                 )
             )
     return strata
@@ -427,27 +399,15 @@ def _diagonal_strata(g: DiagonalGerm, n: int, level: int) -> list[JetStratum]:
         for i, p in enumerate(exps):
             k_min = s // p if i in tied else s // p + 1
             orders_list.append(k_min if k_min <= n else None)
-        depth = n - s
-        if s == n:
-            cond_beta = lead
-            cond = "leading form nonzero" if level == 0 else (
-                f"leading form equal to {level:+d}"
-            )
-        else:
-            # the leading form cancels through the depth steps, each cutting
-            # one free slot, then meets the value the variant asks for
-            cond_beta = cancel
-            then = "a nonzero value" if level == 0 else f"the value {level:+d}"
-            cond = f"leading form cancels through {depth} steps, then {then}"
+        # below s = n the leading form cancels through n - s steps, each
+        # cutting one free slot, then meets the value the variant asks for
+        cond_beta = lead if s == n else cancel
         if cond_beta:
             strata.append(
                 JetStratum(
                     orders=tuple(orders_list),
-                    level=s,
-                    depth=depth,
-                    condition=cond,
                     condition_beta=cond_beta,
-                    free_dims=free - depth,
+                    free_dims=free - (n - s),
                 )
             )
     return strata
@@ -469,22 +429,20 @@ def jet_strata(g: Germ, n: int, variant: Variant = "naive") -> list[JetStratum]:
     raise TypeError(f"not a germ: {g!r}")
 
 
+def _strata_sum(g: Germ, n: int, variant: Variant) -> LaurentPoly:
+    return sum((st.contribution for st in jet_strata(g, n, variant)), ZERO)
+
+
 def jet_beta(g: Germ, n: int) -> LaurentPoly:
     """beta of the set of jets gamma with ord(f o gamma) exactly n."""
-    total = ZERO
-    for st in jet_strata(g, n, "naive"):
-        total = total + st.contribution
-    return total
+    return _strata_sum(g, n, "naive")
 
 
 def jet_beta_sign(g: Germ, n: int, sign: int) -> LaurentPoly:
     """beta of the jets with f o gamma = sign * t^n + higher order terms."""
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    total = ZERO
-    for st in jet_strata(g, n, "plus" if sign == 1 else "minus"):
-        total = total + st.contribution
-    return total
+    return _strata_sum(g, n, "plus" if sign == 1 else "minus")
 
 
 def zeta_direct(g: Germ, order: int, variant: Variant = "naive") -> ZetaSeries:
@@ -538,13 +496,14 @@ def _tie_betas(
     terms: list[tuple[int, int]], level: int, n: int
 ) -> tuple[LaurentPoly, LaurentPoly]:
     """(s = n condition beta, per-level cancellation beta) of one tie set."""
+    zero_set = _level_set_beta(terms, 0, n)
     if level == 0:
-        lead = LaurentPoly.u_power(len(terms)) - _leading_zero_beta(terms, n)
+        lead = LaurentPoly.u_power(len(terms)) - zero_set
     else:
-        lead = _leading_level_beta(terms, level, n)
+        lead = _level_set_beta(terms, level, n)
     if len(terms) == 1:
         return lead, ZERO  # a single leading term cannot cancel
-    cancel = _leading_zero_beta(terms, n) - ONE
+    cancel = zero_set - ONE
     return lead, cancel * (U - ONE) if level == 0 else cancel
 
 
@@ -559,7 +518,7 @@ def _monomial_sweep(g: MonomialGerm, order: int, level: int) -> dict[int, Lauren
     the closed forms are checked against this route, so it must not share
     their code.
     """
-    cond, _ = _monomial_condition(g, level)
+    cond = _monomial_condition(g, level)
     if not cond:
         return {}
     exps = [e for e in g.exponents if e > 0]

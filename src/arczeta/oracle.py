@@ -45,15 +45,14 @@ JET_SPACE_CAP = 10**7
 Histogram = dict[tuple[int, ...], int]
 
 
-def _is_prime(q: int) -> bool:
-    if q < 2:
-        return False
+def _least_factor(q: int) -> int:
+    """The least factor d >= 2 of q >= 2; q itself when q is prime."""
     d = 2
     while d * d <= q:
         if q % d == 0:
-            return False
+            return d
         d += 1
-    return True
+    return q
 
 
 def check_jet_space(q: int, d: int, n: int) -> None:
@@ -72,7 +71,7 @@ def check_jet_space(q: int, d: int, n: int) -> None:
                 f"jet space size q^(d*n) = {q}^{d * n} exceeds the cap "
                 f"{JET_SPACE_CAP}; choose a smaller q or n"
             )
-    if not _is_prime(q):
+    if q < 2 or _least_factor(q) != q:
         raise UnsupportedComputationError(
             f"jet enumeration works over prime fields only, got q = {q}"
         )

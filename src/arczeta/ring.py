@@ -103,14 +103,6 @@ class LaurentPoly:
     # -- construction helpers -------------------------------------------------
 
     @staticmethod
-    def zero() -> "LaurentPoly":
-        return LaurentPoly()
-
-    @staticmethod
-    def one() -> "LaurentPoly":
-        return LaurentPoly({0: 1})
-
-    @staticmethod
     def const(c: int) -> "LaurentPoly":
         return LaurentPoly({0: c})
 
@@ -226,7 +218,7 @@ class LaurentPoly:
     def __pow__(self, n: int) -> "LaurentPoly":
         if not isinstance(n, int) or n < 0:
             raise ValueError("only nonnegative integer powers are defined")
-        result = LaurentPoly.one()
+        result = ONE
         base = self
         while n:
             if n & 1:
@@ -288,16 +280,11 @@ class LaurentPoly:
     def __repr__(self) -> str:
         return f"LaurentPoly({format_poly(self)!r})"
 
-    @staticmethod
-    def parse(text: str) -> "LaurentPoly":
-        return parse_poly(text)
-
 
 #: Shared constants.
-ZERO = LaurentPoly.zero()
-ONE = LaurentPoly.one()
+ZERO = LaurentPoly()
+ONE = LaurentPoly.const(1)
 U = LaurentPoly.u_power(1)
-U_MINUS_1 = U - ONE
 
 
 def format_poly(p: LaurentPoly) -> str:

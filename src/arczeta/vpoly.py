@@ -347,21 +347,16 @@ def blowup_solve(
 
 
 def is_prime_power(q: int) -> bool:
+    # imported here: a beta call loads this module and must not load oracle
+    # or jets
+    from .oracle import _least_factor
+
     if q < 2:
         return False
-    n = q
-    p = None
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            p = d
-            while n % d == 0:
-                n //= d
-            break
-        d += 1
-    if p is None:
-        return True  # q itself is prime
-    return n == 1
+    p = _least_factor(q)
+    while q % p == 0:
+        q //= p
+    return q == 1
 
 
 def _count_circle(q: int) -> int:

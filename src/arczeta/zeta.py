@@ -289,10 +289,6 @@ class InvariantTriple:
     plus: ZetaSeries
     minus: ZetaSeries
 
-    @property
-    def order(self) -> int:
-        return self.naive.order
-
 
 def germ_invariants(g: Germ, order: int) -> InvariantTriple:
     return InvariantTriple(
@@ -324,7 +320,7 @@ class NotDistinguished:
 
 
 def compare_invariants(
-    left: InvariantTriple, right: InvariantTriple, order: int | None = None
+    left: InvariantTriple, right: InvariantTriple
 ) -> Distinguished | NotDistinguished:
     """Scan for the first differing coefficient, n ascending, naive first."""
     series = [
@@ -333,12 +329,9 @@ def compare_invariants(
         ("minus", left.minus, right.minus),
     ]
     orders = {s.order for _, l, r in series for s in (l, r)}
-    if order is None:
-        if len(orders) != 1:
-            raise ValueError("the six series must share a truncation order")
-        order = orders.pop()
-    elif order > min(orders):
-        raise ValueError("requested order exceeds a series truncation")
+    if len(orders) != 1:
+        raise ValueError("the six series must share a truncation order")
+    (order,) = orders
     for n in range(1, order + 1):
         for name, l, r in series:
             cl = l.coeff(n)

@@ -1,6 +1,8 @@
 """Shared builders and small brute-force oracles for the test suite."""
 
 import itertools
+import os
+from pathlib import Path
 
 import pytest
 
@@ -10,11 +12,18 @@ from arczeta import (
     ResolutionDatum,
     StratumData,
 )
-from arczeta.ring import ONE, U, ZERO
+from arczeta.ring import ONE, U, ZERO, parse_poly
+
+# pytest puts src/ on sys.path; the CLI runs that the tests start in child
+# interpreters find the package through PYTHONPATH the same way
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [_SRC, os.environ.get("PYTHONPATH")])
+)
 
 
 def poly(s: str) -> LaurentPoly:
-    return LaurentPoly.parse(s)
+    return parse_poly(s)
 
 
 def stratum(ids, beta0="0", beta_plus="0", beta_minus="0"):

@@ -18,7 +18,7 @@ from arczeta import (
     zeta_term,
 )
 from arczeta.errors import InputError, UnsupportedComputationError
-from arczeta.ring import ONE, U, LaurentPoly
+from arczeta.ring import ONE, U, ZERO
 
 from conftest import brute_force_diagonal_jets, poly
 
@@ -100,6 +100,12 @@ class TestTieCurves:
                                 assert rule.beta.degree <= 1
                             assert rule.mechanism
 
+    @pytest.mark.parametrize("args", [(2, 2, 0, 1, 0), (2, 2, 1, 1, 2)])
+    def test_rule_rejects_bad_signs_and_levels(self, args):
+        match = r"signs must be \+1 or -1, and the level 0, \+1 or -1"
+        with pytest.raises(ValueError, match=match):
+            tie_curve_rule(*args)
+
     def test_level_zero_counts_over_small_fields(self):
         # {a^2 = b^2}: two lines, 2q - 1 points for every odd q
         for q in (3, 5, 7, 11):
@@ -167,7 +173,7 @@ class TestStrata:
     def test_strata_contributions_sum_to_beta(self):
         g = parse_germ("x^2-y^4")
         for n in range(1, 10):
-            total = LaurentPoly.zero()
+            total = ZERO
             for st in jet_strata(g, n):
                 total = total + st.contribution
             assert total == jet_beta(g, n)
@@ -249,6 +255,36 @@ class TestJetBeta:
             ("x^2-y^2", 2, 3, 1),
             ("x^2-y^2", 3, 3, 1),
             ("x^3+y^3", 3, 5, -1),
+            # signed cases where the counts model the real level sets; a
+            # definite pair at the opposite sign is left out, since every
+            # element of F_q is a sum of two squares (x^2+y^2 = -1 has 36
+            # jets at q = 3 against a real beta of 0)
+            ("x^2", 2, 3, 1),
+            ("x^2", 2, 3, -1),
+            ("-x^2", 2, 3, 1),
+            ("-x^2", 2, 3, -1),
+            ("x^2", 4, 3, 1),
+            ("x^2", 4, 3, -1),
+            ("x^3", 3, 5, 1),
+            ("x^3", 3, 5, -1),
+            ("-x^3", 6, 5, 1),
+            ("-x^3", 6, 5, -1),
+            ("x^4", 4, 3, 1),
+            ("x^4", 4, 3, -1),
+            ("-x^4", 4, 7, 1),
+            ("-x^4", 4, 7, -1),
+            ("x^2+y^2", 2, 3, 1),
+            ("-x^2-y^2", 2, 3, -1),
+            ("x^2+y^4", 4, 3, 1),
+            ("x^2+y^4", 2, 7, 1),
+            ("x^2+y^4", 2, 7, -1),
+            ("x^2-y^4", 4, 3, -1),
+            ("x^4-y^4", 4, 3, 1),
+            ("x^4-y^4", 4, 3, -1),
+            ("x^2+y^3", 3, 5, 1),
+            ("x^2+y^3", 3, 5, -1),
+            ("x^3-y^3", 3, 5, 1),
+            ("x^3-y^3", 3, 5, -1),
         ]
         for text, n, q, target in cases:
             g = parse_germ(text)
