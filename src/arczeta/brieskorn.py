@@ -11,14 +11,15 @@ reference comparison is plain equality g_n = a_n; the case split is
                not a single term (u-1)*u^k (k any integer),
     q = l      otherwise.
 
-Signs are constrained by parity: replacing x by -x flips the sign of an odd
-power without moving the germ's class, so odd exponents never determine a
-sign.  For even p the sign of x^p is visible at index p of the plus series.
-For an even q the sign of y^q is read by matching the sign series against
-the two reference germs e_p*x^p +- y^q computed by the jet engine; a
-vanishing test at one fixed index is not reliable for every sign pattern,
-which is recorded in the report notes.  The one genuinely open case is
-p odd with q an even multiple of p, where the class of the sign is unknown.
+The signs are read off the germs that reproduce the input.  Of the four
+germs +-x^p +- y^q, a sign pair is kept when the jet engine rebuilds all
+three series from it; each sign is the one the kept pairs share, and
+undetermined when they disagree.  So every reported class has been checked
+against the input, and a triple that no pair rebuilds is reported as
+inconsistent.  Replacing x by -x flips the sign of an odd power without
+moving the germ, so an odd exponent never determines its sign.  The one
+genuinely open case is p odd with q an even multiple of p, where whether
+the sign of the second term moves the class is not known.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from ._value import frozen
 from .errors import ClassifyError
 from .jets import DiagonalGerm, zeta_direct
 from .ring import ONE, U, LaurentPoly, ZetaSeries
+from .zeta import germ_invariants
 
 
 class SignValue(str, Enum):
@@ -43,7 +45,9 @@ class ClassStatus(str, Enum):
     INCONSISTENT = "inconsistent"
 
 
-#: Note emitted when neither candidate sign reproduces the input series.
+_SIGN = {1: SignValue.PLUS, -1: SignValue.MINUS}
+
+#: Note emitted when no sign pair reproduces the input series.
 NO_MATCHING_SIGN_NOTE = (
     "no candidate sign reproduces the sign series; the input may not come "
     "from a two-variable Brieskorn germ"
@@ -111,46 +115,50 @@ def recover_q(z: ZetaSeries, p: int) -> int:
     return l
 
 
-def recover_signs(
-    zplus: ZetaSeries, zminus: ZetaSeries, p: int, q: int
-) -> tuple[SignValue, SignValue, tuple[str, ...]]:
-    """Determine the two signs as far as the parity rules allow."""
-    notes: list[str] = []
-    if p % 2 == 1:
-        eps_p = SignValue.UNDETERMINED
-    elif zplus.coeff(p):
-        eps_p = SignValue.PLUS
-    else:
-        eps_p = SignValue.MINUS
+def _open_case(p: int, q: int) -> bool:
+    """p odd with q an even multiple of p: the class of the sign is unknown."""
+    return p % 2 == 1 and q % p == 0 and (q // p) % 2 == 0
 
-    if q % 2 == 1:
-        eps_q = SignValue.UNDETERMINED
-    elif p % 2 == 1 and q % p == 0:
-        eps_q = SignValue.UNDETERMINED  # the open case; see classify()
+
+def recover_signs(
+    z: ZetaSeries, zplus: ZetaSeries, zminus: ZetaSeries, p: int, q: int
+) -> tuple[SignValue, SignValue, tuple[str, ...]] | None:
+    """The signs shared by every germ e1*x^p + e2*y^q that rebuilds the input.
+
+    A sign pair is kept when its germ reproduces all three series; a sign
+    the kept pairs do not agree on is undetermined.  Returns None when no
+    pair is kept.
+    """
+    given = (z, zplus, zminus)
+    kept: set[tuple[int, int]] = set()
+    for e2 in (1, -1):
+        inv = germ_invariants(DiagonalGerm(terms=((1, p), (e2, q))), z.order)
+        # -f has the same naive series and swaps the two sign series
+        for pair, series in (
+            ((1, e2), (inv.naive, inv.plus, inv.minus)),
+            ((-1, -e2), (inv.naive, inv.minus, inv.plus)),
+        ):
+            if series == given:
+                # for p = q, x <-> y makes the two mixed orders one germ
+                kept.add((1, -1) if p == q and pair[0] != pair[1] else pair)
+    if not kept:
+        return None
+    eps_p, eps_q = (
+        _SIGN[signs.pop()] if len(signs) == 1 else SignValue.UNDETERMINED
+        for signs in map(set, zip(*kept))
+    )
+    # an odd q, or the open case, already explains an undetermined eps_q
+    if eps_q is not SignValue.UNDETERMINED:
+        notes = (
+            "eps_q determined by matching the sign series against the two "
+            "reference germs (a vanishing test at a single fixed index is "
+            "not reliable for every sign pattern)",
+        )
+    elif q % 2 == 0 and not _open_case(p, q):
+        notes = ("both candidate signs reproduce the sign series",)
     else:
-        e1 = -1 if eps_p is SignValue.MINUS else 1
-        order = min(zplus.order, zminus.order)
-        matches = []
-        for e2 in (1, -1):
-            candidate = DiagonalGerm(terms=((e1, p), (e2, q)))
-            ref_plus = zeta_direct(candidate, order, "plus")
-            ref_minus = zeta_direct(candidate, order, "minus")
-            if ref_plus == zplus.truncate(order) and ref_minus == zminus.truncate(order):
-                matches.append(e2)
-        if len(matches) == 1:
-            eps_q = SignValue.PLUS if matches[0] == 1 else SignValue.MINUS
-            notes.append(
-                "eps_q determined by matching the sign series against the two "
-                "reference germs (a vanishing test at a single fixed index is "
-                "not reliable for every sign pattern)"
-            )
-        elif len(matches) == 2:
-            eps_q = SignValue.UNDETERMINED
-            notes.append("both candidate signs reproduce the sign series")
-        else:
-            eps_q = SignValue.UNDETERMINED
-            notes.append(NO_MATCHING_SIGN_NOTE)
-    return eps_p, eps_q, tuple(notes)
+        notes = ()
+    return eps_p, eps_q, notes
 
 
 def classify(
@@ -188,13 +196,11 @@ def classify(
             f"truncation order {z.order} too small: classification needs at "
             f"least {2 * q + 2}", p=p, q=q,
         )
-    eps_p, eps_q, notes = recover_signs(zplus, zminus, p, q)
-    if NO_MATCHING_SIGN_NOTE in notes:
-        return BrieskornClass(
-            p=p, q=q, eps_p=eps_p, eps_q=eps_q,
-            status=ClassStatus.INCONSISTENT, notes=notes,
-        )
-    open_case = p % 2 == 1 and q % p == 0 and (q // p) % 2 == 0
+    signs = recover_signs(z, zplus, zminus, p, q)
+    if signs is None:
+        return inconsistent(NO_MATCHING_SIGN_NOTE, p=p, q=q)
+    eps_p, eps_q, notes = signs
+    open_case = _open_case(p, q)
     if open_case:
         notes = notes + (
             "p odd with q an even multiple of p: whether the sign of the "

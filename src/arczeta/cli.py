@@ -2,7 +2,8 @@
 
 Subcommands: zeta-germ, zeta-res, beta, classify, ts, oracle, compare.
 Outputs are deterministic (identical inputs give byte-identical output).
-Exit codes: 0 success, 1 malformed input, 2 unsupported computation.
+Exit codes: 0 success, 1 malformed input, 2 unsupported computation (out of
+memory included).
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import ArczetaError, InputError, UnsupportedComputationError
+from .errors import ArczetaError, InputError, UnsupportedComputationError, loads
 from .ring import DEFAULT_ORDER, ZetaSeries, format_poly, format_series
 
 # each handler imports the modules it runs, so a call loads only those:
@@ -109,10 +110,7 @@ def _cmd_zeta_res(args) -> tuple[str, dict]:
     with open(args.file, "r", encoding="utf-8") as fh:
         datum = resolution_from_json(fh.read())
     level = variant_level(args.sign)
-    if level:
-        z = dl_sign(datum, level, args.order)
-    else:
-        z = dl_naive(datum, args.order)
+    z = dl_sign(datum, level, args.order) if level else dl_naive(datum, args.order)
     return _series_output(z, {"file": args.file, "variant": args.sign})
 
 
@@ -127,14 +125,9 @@ def _cmd_beta(args) -> tuple[str, dict]:
 
 
 def _load_series_file(path: str) -> ZetaSeries:
-    import json
-
     with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except (json.JSONDecodeError, RecursionError) as exc:
-            raise InputError(f"bad series file {path}: {exc}") from exc
-    return ZetaSeries.from_json_dict(data)
+        text = fh.read()
+    return ZetaSeries.from_json_dict(loads(text, f"bad series file {path}"))
 
 
 def _cmd_classify(args) -> tuple[str, dict]:
@@ -236,27 +229,21 @@ def _cmd_compare(args) -> tuple[str, dict]:
     result = compare_invariants(
         germ_invariants(left, args.order), germ_invariants(right, args.order)
     )
+    payload = {"left": germ_to_str(left), "right": germ_to_str(right)}
     if isinstance(result, Distinguished):
-        text = (
-            f"distinguished at T^{result.index} in the {result.series} series: "
-            f"left = {format_poly(result.left)}, right = {format_poly(result.right)}\n"
+        payload.update(
+            distinguished=True,
+            series=result.series,
+            index=result.index,
+            left_coeff=format_poly(result.left),
+            right_coeff=format_poly(result.right),
         )
-        payload = {
-            "distinguished": True,
-            "series": result.series,
-            "index": result.index,
-            "left": format_poly(result.left),
-            "right": format_poly(result.right),
-        }
+        text = ("distinguished at T^{index} in the {series} series: "
+                "left = {left_coeff}, right = {right_coeff}\n")
     else:
-        text = f"not distinguished up to order {result.order}\n"
-        payload = {"distinguished": False, "order": result.order}
-    payload = {
-        "left": germ_to_str(left),
-        "right": germ_to_str(right),
-        **payload,
-    }
-    return text, payload
+        payload.update(distinguished=False, order=result.order)
+        text = "not distinguished up to order {order}\n"
+    return text.format_map(payload), payload
 
 
 _COMMANDS = {
@@ -288,15 +275,20 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         if getattr(args, "order", 1) < 1:
             raise InputError("--order must be a positive integer")
-        text, payload = _COMMANDS[args.command](args)
+        _emit(args, *_COMMANDS[args.command](args))
+        return 0
     except UnsupportedComputationError as exc:
         sys.stderr.write(f"unsupported: {exc}\n")
         return 2
     except (ArczetaError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
-    _emit(args, text, payload)
-    return 0
+    except MemoryError:
+        pass
+    # written only here, outside the handler: leaving it frees the frames
+    # that the traceback holds, and with them the partial result
+    sys.stderr.write("unsupported: out of memory; choose a smaller --order\n")
+    return 2
 
 
 if __name__ == "__main__":

@@ -26,3 +26,14 @@ class RingBoundError(UnsupportedComputationError):
 
 class ClassifyError(ArczetaError):
     """Exponent recovery failed (typically: truncation order too small)."""
+
+
+def loads(text: str, what: str):
+    """Decode a JSON document; malformed or too deeply nested text is an
+    InputError whose message starts with ``what``."""
+    import json  # loaded only by the commands that read JSON
+
+    try:
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise InputError(f"{what}: {exc}") from exc

@@ -31,7 +31,9 @@ no supported rule and raises instead of guessing.
 for the sums.  :func:`zeta_direct` does not call it: summed over a whole
 series, the strata telescope into one pass over n (see :func:`_diagonal_sweep`
 and :func:`_monomial_sweep`), so its cost follows the size of the series it
-returns.  All functions are pure.
+returns.  :func:`jet_beta` and :func:`jet_beta_sign` read one coefficient of
+that series, so the F_q oracle checks the route that ``zeta-germ`` prints.
+All functions are pure.
 """
 
 from __future__ import annotations
@@ -429,20 +431,25 @@ def jet_strata(g: Germ, n: int, variant: Variant = "naive") -> list[JetStratum]:
     raise TypeError(f"not a germ: {g!r}")
 
 
-def _strata_sum(g: Germ, n: int, variant: Variant) -> LaurentPoly:
-    return sum((st.contribution for st in jet_strata(g, n, variant)), ZERO)
+def sign_variant(sign: int) -> Variant:
+    """The variant, plus or minus, whose series counts f o gamma = sign * t^n."""
+    if sign not in (1, -1):
+        raise ValueError("sign must be +1 or -1")
+    return "plus" if sign == 1 else "minus"
 
 
 def jet_beta(g: Germ, n: int) -> LaurentPoly:
-    """beta of the set of jets gamma with ord(f o gamma) exactly n."""
-    return _strata_sum(g, n, "naive")
+    """beta of the set of jets gamma with ord(f o gamma) exactly n.
+
+    Read off the series :func:`zeta_direct` prints, so a check against this
+    value checks that route.
+    """
+    return zeta_direct(g, n).coeff(n).shift(n * g.dim)
 
 
 def jet_beta_sign(g: Germ, n: int, sign: int) -> LaurentPoly:
     """beta of the jets with f o gamma = sign * t^n + higher order terms."""
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    return _strata_sum(g, n, "plus" if sign == 1 else "minus")
+    return zeta_direct(g, n, sign_variant(sign)).coeff(n).shift(n * g.dim)
 
 
 def zeta_direct(g: Germ, order: int, variant: Variant = "naive") -> ZetaSeries:

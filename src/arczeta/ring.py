@@ -413,11 +413,6 @@ class ZetaSeries:
                 out[n] = c
         return ZetaSeries(order, out)
 
-    def __sub__(self, other: "ZetaSeries") -> "ZetaSeries":
-        if not isinstance(other, ZetaSeries):
-            return NotImplemented
-        return self + other.scale(LaurentPoly.const(-1))
-
     def __mul__(self, other: "ZetaSeries") -> "ZetaSeries":
         if not isinstance(other, ZetaSeries):
             return NotImplemented

@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Union
 
 from ._value import frozen
-from .errors import InputError, RingBoundError, UnsupportedComputationError
+from .errors import InputError, RingBoundError, UnsupportedComputationError, loads
 from .ring import ONE, ZERO, LaurentPoly, check_span, format_poly, parse_poly
 
 if TYPE_CHECKING:
@@ -30,6 +30,15 @@ if TYPE_CHECKING:
 # ---------------------------------------------------------------------------
 
 
+def _check_size(size: int, what: str, span: bool = True) -> None:
+    """Refuse a negative atom size and, with ``span``, a beta spanning
+    u^0 .. u^size that the ring cannot store."""
+    if size < 0:
+        raise ValueError(f"{what} must be nonnegative")
+    if span:
+        check_span(0, size)
+
+
 @frozen
 class Affine:
     """R^m; beta = u^m."""
@@ -37,8 +46,7 @@ class Affine:
     m: int
 
     def __post_init__(self):
-        if self.m < 0:
-            raise ValueError("dimension must be nonnegative")
+        _check_size(self.m, "dimension", span=False)
 
 
 # The largest coefficient of (u-1)^k is the middle binomial C(k, k//2); from
@@ -54,9 +62,7 @@ class Torus:
     k: int
 
     def __post_init__(self):
-        if self.k < 0:
-            raise ValueError("rank must be nonnegative")
-        check_span(0, self.k)  # beta spans u^0 .. u^k
+        _check_size(self.k, "rank")
         if self.k > _MAX_TORUS_RANK:
             raise RingBoundError(
                 f"torus rank {self.k} exceeds {_MAX_TORUS_RANK}: the coefficients "
@@ -71,9 +77,7 @@ class PuncturedAffine:
     m: int
 
     def __post_init__(self):
-        if self.m < 0:
-            raise ValueError("dimension must be nonnegative")
-        check_span(0, self.m)  # beta spans u^0 .. u^m
+        _check_size(self.m, "dimension")
 
 
 @frozen
@@ -83,8 +87,7 @@ class Points:
     c: int
 
     def __post_init__(self):
-        if self.c < 0:
-            raise ValueError("point count must be nonnegative")
+        _check_size(self.c, "point count", span=False)
 
 
 @frozen
@@ -94,9 +97,7 @@ class ProjSpace:
     k: int
 
     def __post_init__(self):
-        if self.k < 0:
-            raise ValueError("dimension must be nonnegative")
-        check_span(0, self.k)  # beta spans u^0 .. u^k
+        _check_size(self.k, "dimension")
 
 
 @frozen
@@ -113,9 +114,7 @@ class Sphere:
     k: int
 
     def __post_init__(self):
-        if self.k < 0:
-            raise ValueError("dimension must be nonnegative")
-        check_span(0, self.k)  # beta spans u^0 .. u^k
+        _check_size(self.k, "dimension")
 
 
 @frozen
@@ -312,6 +311,10 @@ def expr_dim(e: PieceExpr) -> int:
 # ---------------------------------------------------------------------------
 
 
+#: the blow-up relation beta(X) - beta(C) + beta(E) - beta(Bl) = 0, by slot
+_BLOWUP_SIGNS = {"X": 1, "C": -1, "E": 1, "Bl": -1}
+
+
 def blowup_solve(
     beta_x: LaurentPoly | None = None,
     beta_c: LaurentPoly | None = None,
@@ -329,16 +332,9 @@ def blowup_solve(
             f"exactly one unknown required, got {len(missing)} "
             f"({', '.join(missing) or 'none'})"
         )
-    x, c, e, bl = values["X"], values["C"], values["E"], values["Bl"]
-    match missing[0]:
-        case "Bl":
-            return x - c + e
-        case "X":
-            return bl - e + c
-        case "C":
-            return x - bl + e
-        case _:
-            return bl - x + c
+    # the signed betas sum to zero, so the missing one is fixed by the rest
+    given = (b * _BLOWUP_SIGNS[k] for k, b in values.items() if b is not None)
+    return sum(given, ZERO) * -_BLOWUP_SIGNS[missing[0]]
 
 
 # ---------------------------------------------------------------------------
@@ -621,12 +617,7 @@ def expr_from_json(node: dict) -> ScriptExpr:
 
 def script_from_json(data: dict | str) -> BetaScript:
     if isinstance(data, str):
-        import json
-
-        try:
-            data = json.loads(data)
-        except (json.JSONDecodeError, RecursionError) as exc:
-            raise InputError(f"bad script JSON: {exc}") from exc
+        data = loads(data, "bad script JSON")
     raw_defs = data.get("defs") if isinstance(data, dict) else None
     if not isinstance(raw_defs, list):
         raise InputError("a script document needs a 'defs' list")

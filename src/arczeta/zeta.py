@@ -18,13 +18,14 @@ from __future__ import annotations
 import math
 
 from ._value import frozen
-from .errors import InputError, UnsupportedComputationError
+from .errors import InputError, UnsupportedComputationError, loads
 from .jets import (
     DiagonalGerm,
     Germ,
     MonomialGerm,
     _real_root_count,
     germ_to_str,
+    sign_variant,
     variant_level,
     zeta_direct,
 )
@@ -115,12 +116,7 @@ class ResolutionDatum:
 
 def resolution_from_json(data: dict | str) -> ResolutionDatum:
     if isinstance(data, str):
-        import json
-
-        try:
-            data = json.loads(data)
-        except (json.JSONDecodeError, RecursionError) as exc:
-            raise InputError(f"bad resolution JSON: {exc}") from exc
+        data = loads(data, "bad resolution JSON")
     try:
         components = tuple(
             Component(
@@ -186,9 +182,7 @@ def dl_naive(r: ResolutionDatum, order: int) -> ZetaSeries:
 
 def dl_sign(r: ResolutionDatum, sign: int, order: int) -> ZetaSeries:
     """Sign zeta series (+1 or -1 variant) of the datum."""
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    return dl_expr(r, "plus" if sign == 1 else "minus").expand(order)
+    return dl_expr(r, sign_variant(sign)).expand(order)
 
 
 # ---------------------------------------------------------------------------

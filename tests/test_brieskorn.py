@@ -15,6 +15,7 @@ from arczeta import (
     recover_q,
     recover_signs,
 )
+from arczeta.brieskorn import NO_MATCHING_SIGN_NOTE
 from arczeta.errors import ClassifyError
 from arczeta.ring import ZetaSeries
 
@@ -60,20 +61,24 @@ class TestRecoverQ:
 class TestRecoverSigns:
     def test_positive_quadric(self):
         inv = _series("x^2+y^2")
-        eps_p, eps_q, _ = recover_signs(inv.plus, inv.minus, 2, 2)
+        eps_p, eps_q, _ = recover_signs(inv.naive, inv.plus, inv.minus, 2, 2)
         assert (eps_p, eps_q) == (SignValue.PLUS, SignValue.PLUS)
 
     def test_negative_germ(self):
         inv = _series("-x^2-y^4")
-        eps_p, eps_q, _ = recover_signs(inv.plus, inv.minus, 2, 4)
+        eps_p, eps_q, _ = recover_signs(inv.naive, inv.plus, inv.minus, 2, 4)
         assert (eps_p, eps_q) == (SignValue.MINUS, SignValue.MINUS)
 
     def test_odd_exponents_undetermined(self):
         for text in ("x^3+y^3", "x^3-y^3"):
             inv = _series(text)
-            eps_p, eps_q, _ = recover_signs(inv.plus, inv.minus, 3, 3)
+            eps_p, eps_q, _ = recover_signs(inv.naive, inv.plus, inv.minus, 3, 3)
             assert eps_p is SignValue.UNDETERMINED
             assert eps_q is SignValue.UNDETERMINED
+
+    def test_no_sign_pair_rebuilds_a_monomial(self):
+        inv = _series("x^2*y^3", order=40)
+        assert recover_signs(inv.naive, inv.plus, inv.minus, 5, 5) is None
 
 
 class TestClassify:
@@ -133,6 +138,30 @@ class TestClassify:
         inv = _series("x^1+y^2", order=12)
         report = classify(inv.naive, inv.plus, inv.minus)
         assert report.status is ClassStatus.INCONSISTENT
+
+    def test_monomial_series_inconsistent(self):
+        # p = q = 5 is read off the naive series of x^2*y^3, but none of the
+        # four germs +-x^5 +- y^5 reproduces it
+        inv = _series("x^2*y^3", order=40)
+        report = classify(inv.naive, inv.plus, inv.minus)
+        assert report.status is ClassStatus.INCONSISTENT
+        assert (report.p, report.q) == (5, 5)
+        assert report.notes == (NO_MATCHING_SIGN_NOTE,)
+
+    def test_mismatched_orders_inconsistent(self):
+        inv = _series("x^2+y^4", order=24)
+        report = classify(inv.naive, inv.plus.truncate(20), inv.minus)
+        assert report.status is ClassStatus.INCONSISTENT
+        assert report.p is None
+        assert report.notes == ("the three series must share a truncation order",)
+
+    def test_pure_power_inconsistent(self):
+        # recover_q fails: the series agrees with x^3 up to the order
+        inv = _series("x^3", order=20)
+        report = classify(inv.naive, inv.plus, inv.minus)
+        assert report.status is ClassStatus.INCONSISTENT
+        assert (report.p, report.q) == (3, None)
+        assert "truncation too small to recover q" in report.notes[0]
 
     def test_garbage_series_inconsistent(self):
         report = classify(ZetaSeries(20), ZetaSeries(20), ZetaSeries(20))

@@ -116,6 +116,16 @@ class TestZetaGerm:
         assert rc == 0 and out == ""
         assert target.read_text() == "(u-1)*u^-1*T^3 + (u-1)*u^-2*T^6\n"
 
+    def test_unwritable_out_file_is_one_error_line(self, tmp_path):
+        target = tmp_path / "missing" / "series.txt"
+        rc, out, err = run_cli(
+            "zeta-germ", "--germ", "x^3", "--order", "6", "--out", str(target),
+            timeout=5,
+        )
+        assert (rc, out) == (1, "")
+        assert err.startswith("error: ") and str(target) in err
+        assert "Traceback" not in err and err.count("\n") == 1
+
 
 class TestZetaRes:
     def test_naive_and_sign(self, tmp_path):
@@ -292,6 +302,24 @@ class TestClassify:
             "plus",
         )
 
+    def test_series_files_no_germ_rebuilds_are_inconsistent(self, tmp_path):
+        from arczeta import germ_invariants, parse_germ
+
+        # the three series of the monomial x^2*y^3 read as p = q = 5, and no
+        # germ +-x^5 +- y^5 reproduces them
+        inv = germ_invariants(parse_germ("x^2*y^3"), 40)
+        args = ["classify"]
+        for name in ("naive", "plus", "minus"):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(getattr(inv, name).to_json_dict()))
+            args += ["--series-file", str(path)]
+        rc, out, err = run_cli(*args, timeout=10)
+        assert (rc, err) == (0, "")
+        assert out.splitlines()[:5] == [
+            "p = 5", "q = 5", "eps_p = undetermined", "eps_q = undetermined",
+            "status = inconsistent",
+        ]
+
     def test_wrong_series_file_count(self, tmp_path):
         p = tmp_path / "one.json"
         p.write_text("{}")
@@ -368,6 +396,18 @@ class TestCompare:
         assert rc == 0
         assert "distinguished at T^2 in the naive series" in out
 
+    def test_distinguished_json_keeps_the_germs(self):
+        rc, out, _ = run_cli(
+            "compare", "--left", "x^2+y^2", "--right", "x^2+y^4", "--order", "8",
+            "--format", "json",
+        )
+        assert rc == 0
+        assert json.loads(out) == {
+            "left": "x^2+y^2", "right": "x^2+y^4", "distinguished": True,
+            "series": "naive", "index": 2, "left_coeff": "1-u^-2",
+            "right_coeff": "1-u^-1",
+        }
+
     def test_not_distinguished(self):
         rc, out, _ = run_cli(
             "compare", "--left", "x^3+y^4", "--right", "x^3+y^4", "--order", "12"
@@ -416,6 +456,30 @@ class TestOracle:
         )
         assert (rc, err) == (0, "")
         assert out == f"q={q}: jets={count} beta={count} PASS\n"
+
+
+def _address_space_limit():
+    import resource
+
+    limit = 512 * 2**20
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS is enforced on Linux")
+@pytest.mark.parametrize("argv", [
+    ("zeta-germ", "--germ", "x^3+y^5"),
+    ("compare", "--left", "x^3+y^5", "--right", "x^2+y^4"),
+    ("classify", "--germ", "x^3+y^5"),
+], ids=["zeta-germ", "compare", "classify"])
+def test_out_of_memory_is_one_line_and_exit_2(argv):
+    # the limit applies to the child only, so the suite keeps its memory
+    proc = subprocess.run(
+        [sys.executable, "-m", "arczeta.cli", *argv, "--order", "100000000"],
+        capture_output=True, text=True, timeout=60,
+        preexec_fn=_address_space_limit,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "unsupported: out of memory; choose a smaller --order\n"
 
 
 # -- the JSON readers on random small documents --------------------------------

@@ -346,6 +346,10 @@ class TestUnsupported:
         assert not jet_beta(g, 2).is_zero()  # pair tie only
         with pytest.raises(UnsupportedGermError):
             jet_beta(g, 4)
+        # the message names the first order that meets the tie
+        with pytest.raises(UnsupportedGermError, match=r"T\^4$") as exc:
+            jet_beta(g, 8)
+        assert exc.value.n == 4
 
 
 class TestZetaDirect:

@@ -195,6 +195,8 @@ class TestBlowup:
         bx, bc, be = LaurentPoly(x), LaurentPoly(c), LaurentPoly(e)
         bl = blowup_solve(beta_x=bx, beta_c=bc, beta_e=be)
         assert blowup_solve(beta_bl=bl, beta_c=bc, beta_e=be) == bx
+        assert blowup_solve(beta_x=bx, beta_bl=bl, beta_e=be) == bc
+        assert blowup_solve(beta_x=bx, beta_c=bc, beta_bl=bl) == be
 
 
 WHITNEY = {
