@@ -150,8 +150,8 @@ def recover_signs(
     # an odd q, or the open case, already explains an undetermined eps_q
     if eps_q is not SignValue.UNDETERMINED:
         notes = (
-            "eps_q determined by matching the sign series against the two "
-            "reference germs (a vanishing test at a single fixed index is "
+            "eps_q determined by matching all three series against the four "
+            "germs +-x^p +- y^q (a vanishing test at a single fixed index is "
             "not reliable for every sign pattern)",
         )
     elif q % 2 == 0 and not _open_case(p, q):

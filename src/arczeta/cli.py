@@ -165,10 +165,8 @@ def _cmd_ts(args) -> tuple[str, dict]:
     right = parse_germ(args.right)
     # the convolution identity needs two positive or two negative germs:
     # diagonal, with every exponent even and one sign throughout
-    definite = all(
-        isinstance(g, DiagonalGerm) and _is_definite(g.terms) for g in (left, right)
-    )
-    if not definite or left.signs[0] != right.signs[0]:
+    diagonal = isinstance(left, DiagonalGerm) and isinstance(right, DiagonalGerm)
+    if not diagonal or not _is_definite(left.terms + right.terms):
         raise UnsupportedComputationError(
             "ts needs two positive or two negative diagonal germs (every "
             f"exponent even, every sign equal), got {germ_to_str(left)} and "

@@ -515,19 +515,25 @@ def expand_term(nu: int, N: int, order: int) -> ZetaSeries:
 
 @frozen
 class ZetaTerm:
-    """One summand coef * prod of (nu, N) geometric factors."""
+    """One summand coef * T^t_shift * prod of (nu, N) geometric factors.
+
+    The shift is zero or negative and leaves the lowest power of T, that is
+    t_shift + sum(N), at 1 or above: a zeta series carries no T^0 constant.
+    """
 
     coef: LaurentPoly
     factors: tuple[tuple[int, int], ...]
+    t_shift: int = 0
 
     def __post_init__(self):
-        if not self.factors:
-            # a factor-free term would be a T^0 constant, which a zeta
-            # series cannot carry
-            raise ValueError("a term needs at least one (nu, N) factor")
         for nu, N in self.factors:
             if nu < 1 or N < 1:
                 raise ValueError("factor parameters must be positive integers")
+        if self.t_shift > 0 or self.t_shift + sum(N for _, N in self.factors) < 1:
+            raise ValueError(
+                "a term needs t_shift <= 0 and its lowest power of T, "
+                "t_shift + sum(N), at 1 or above"
+            )
 
 
 @frozen
@@ -545,10 +551,12 @@ class ZetaExpr:
 
             S_k(n) = u^(-nu_k) * (S_(k-1)(n - N_k) + S_k(n - N_k)),
 
-        with S_0 = coef at n = 0 and zero elsewhere.  Each level keeps only
-        its last max(N) values, and the T^n coefficient, the sum of S_K(n)
-        over the terms, is final before n + 1 starts, so no truncated
-        product series is ever built.
+        with S_0 = coef at n = t_shift and zero elsewhere.  The sweep starts
+        at the least t_shift, so a partial product that is nonzero below
+        T^1 is still stored; S_K itself starts at t_shift + sum(N) >= 1.
+        Each level keeps only its last max(N) values, and the T^n
+        coefficient, the sum of S_K(n) over the terms, is final before
+        n + 1 starts, so no truncated product series is ever built.
         """
         if not isinstance(order, int) or order < 1:
             raise ValueError("truncation order must be a positive integer")
@@ -556,21 +564,22 @@ class ZetaExpr:
         for term in self.terms:
             width = max(N for _, N in term.factors)
             levels = [[ZERO] * width for _ in term.factors]
-            plans.append((term.coef, term.factors, width, levels))
+            plans.append((term.coef, term.factors, term.t_shift, width, levels))
+        start = min((term.t_shift for term in self.terms), default=0) + 1
         coeffs: dict[int, LaurentPoly] = {}
-        for n in range(1, order + 1):
+        for n in range(start, order + 1):
             total = ZERO
-            for coef, factors, width, levels in plans:
+            for coef, factors, t_shift, width, levels in plans:
                 # every S_k(n) from values stored at earlier n, then store them
                 values = []
                 for k, (nu, N) in enumerate(factors):
                     m = n - N
-                    if m > 0:
+                    if m > t_shift:
                         s = levels[k][m % width]
                         if k:
                             s = levels[k - 1][m % width] + s
                     else:
-                        s = coef if m == 0 and k == 0 else ZERO
+                        s = coef if m == t_shift and k == 0 else ZERO
                     values.append(s.shift(-nu))
                 for k, value in enumerate(values):
                     levels[k][n % width] = value
@@ -580,8 +589,8 @@ class ZetaExpr:
         return ZetaSeries(order, coeffs)
 
 
-def zeta_term(coef: LaurentPoly, factors: list[tuple[int, int]]) -> ZetaTerm:
-    return ZetaTerm(coef=coef, factors=tuple((int(a), int(b)) for a, b in factors))
+def zeta_term(coef: LaurentPoly, factors: list[tuple[int, int]], t_shift=0) -> ZetaTerm:
+    return ZetaTerm(coef, tuple((int(a), int(b)) for a, b in factors), t_shift)
 
 
 def zeta_expr(terms: list[ZetaTerm]) -> ZetaExpr:

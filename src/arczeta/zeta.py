@@ -11,6 +11,9 @@ with F(nu, N) = u^-nu T^N / (1 - u^-nu T^N), and the sign variants replace
 (u-1)^|I| * beta0 by (u-1)^(|I|-1) * beta_sign.  Whether the data really
 comes from a resolution is the caller's responsibility; no normal-crossing
 condition can be checked from the combinatorics alone.
+
+A germ's :func:`closed_form` sums the strata of :mod:`jets` over one period
+of its tie sets into the same kind of rational function.
 """
 
 from __future__ import annotations
@@ -18,13 +21,12 @@ from __future__ import annotations
 import math
 
 from ._value import frozen
-from .errors import InputError, UnsupportedComputationError, loads
+from .errors import InputError, loads
 from .jets import (
-    DiagonalGerm,
     Germ,
     MonomialGerm,
-    _real_root_count,
-    germ_to_str,
+    _monomial_condition,
+    _tie_betas,
     sign_variant,
     variant_level,
     zeta_direct,
@@ -186,59 +188,41 @@ def dl_sign(r: ResolutionDatum, sign: int, order: int) -> ZetaSeries:
 
 
 # ---------------------------------------------------------------------------
-# closed-form catalogue
+# closed forms from the stratification
 # ---------------------------------------------------------------------------
 
 
 def closed_form(g: Germ, variant: str = "naive") -> ZetaExpr:
-    """Exact rational form for the catalogued germ families.
+    """The exact rational form of the series :func:`jets.zeta_direct` sums.
 
-    Supported: monomial germs (normal crossings, any unit sign), one-term
-    diagonal germs, and x^k + y^k; sign variants only where a closed form is
-    on record (monomials, one-variable powers, and x^2 + y^2).  Anything
-    else raises, and the caller falls back to :func:`zeta_direct`.
+    A monomial germ's strata share one leading-coefficient condition: the
+    form is that condition times F(1, N_i) per positive exponent N_i, with
+    F(nu, N) = u^-nu T^N / (1 - u^-nu T^N).  A diagonal germ's tie sets
+    repeat with period L = lcm(p_i), and drop(s) = sum(s // p_i) grows by
+    D = sum(L // p_i) per period, so the sweep's lead and cancellation sums
+    of each s in 1..L with a nonempty tie set become
+    (lead + cancel * F(1, 1)) * u^(D - drop(s)) * T^(s - L) * F(D, L).
+    An indefinite three-way tie raises as the sweep does, at its first T^s.
     """
     level = variant_level(variant)
-
-    if isinstance(g, DiagonalGerm) and g.dim == 1:
-        sign, k = g.terms[0]
-        g = MonomialGerm(exponents=(k,), unit_sign=sign)
-
     if isinstance(g, MonomialGerm):
-        active = [e for e in g.exponents if e > 0]
-        factors = [(1, e) for e in active]
-        if level == 0:
-            return zeta_expr([zeta_term((U - ONE) ** len(active), factors)])
-        count = _real_root_count(math.gcd(*active), level * g.unit_sign)
-        coef = LaurentPoly.const(count) * (U - ONE) ** (len(active) - 1)
-        if not coef:
-            return zeta_expr([])
-        return zeta_expr([zeta_term(coef, factors)])
-
-    if (
-        isinstance(g, DiagonalGerm)
-        and g.dim == 2
-        and g.signs == (1, 1)
-        and g.exponents[0] == g.exponents[1]
-    ):
-        k = g.exponents[0]
-        if level == 0:
-            if k % 2 == 0:
-                return zeta_expr([zeta_term(U * U - ONE, [(2, k)])])
-            return zeta_expr(
-                [
-                    zeta_term((U - ONE) * U, [(2, k)]),
-                    zeta_term((U - ONE) ** 2, [(2, k), (1, 1)]),
-                ]
-            )
-        if k == 2:
-            if level == 1:
-                return zeta_expr([zeta_term(U + ONE, [(2, 2)])])
-            return zeta_expr([])  # a positive germ has zero minus-series
-
-    raise UnsupportedComputationError(
-        f"no closed form on record for {germ_to_str(g)} ({variant})"
-    )
+        cond = _monomial_condition(g, level)
+        factors = [(1, e) for e in g.exponents if e]
+        return zeta_expr([zeta_term(cond, factors)] if cond else [])
+    exps = g.exponents
+    period = math.lcm(*exps)
+    lift = sum(period // p for p in exps)
+    base = (lift, period)
+    terms = []
+    for s in range(1, period + 1):
+        tied = [g.terms[i] for i, p in enumerate(exps) if s % p == 0]
+        if tied:
+            lead, cancel = _tie_betas(tied, level, s)
+            up = lift - sum(s // p for p in exps)
+            for beta, factors in ((lead, [base]), (cancel, [base, (1, 1)])):
+                if beta:
+                    terms.append(zeta_term(beta.shift(up), factors, s - period))
+    return zeta_expr(terms)
 
 
 # ---------------------------------------------------------------------------
@@ -247,24 +231,27 @@ def closed_form(g: Germ, variant: str = "naive") -> ZetaExpr:
 
 
 def ts_convolve(zf: ZetaSeries, zg: ZetaSeries) -> ZetaSeries:
-    """Coefficientwise convolution c_n = a_n B_n + A_n b_n + a_n b_n.
+    """Coefficientwise convolution c_n = C_(n-1) - C_n of the tail products.
 
-    A_n = 1 - sum(a_j, j <= n) and likewise B_n; A_n, scaled by the jet-space
-    volume, is the invariant of the arcs whose composed order exceeds n.  The
-    identity computes the zeta function of f(x) + g(y) and is valid only when
-    f and g are both positive or both negative; that hypothesis cannot be read
-    off the series and remains the caller's responsibility.
+    A_n = 1 - sum(a_j, j <= n), likewise B_n, and C_n = A_n * B_n; A_n,
+    scaled by the jet-space volume, is the invariant of the arcs whose
+    composed order exceeds n, so C_n is that of the pairs whose sum does.
+    Expanding C_(n-1) with A_(n-1) = A_n + a_n gives exactly
+    c_n = a_n B_n + A_n b_n + a_n b_n, one product per n instead of three.
+    The identity computes the zeta function of f(x) + g(y) and is valid only
+    when f and g are both positive or both negative; that hypothesis cannot
+    be read off the series and remains the caller's responsibility.
     """
     if zf.order != zg.order:
         raise ValueError(
             f"mismatched truncation orders {zf.order} and {zg.order}"
         )
     coeffs: dict[int, LaurentPoly] = {}
-    A = B = ONE
+    A = B = C = ONE
     for n in range(1, zf.order + 1):
-        a, b = zf.coeff(n), zg.coeff(n)
-        A, B = A - a, B - b
-        c = a * B + A * b + a * b
+        A, B = A - zf.coeff(n), B - zg.coeff(n)
+        previous, C = C, A * B
+        c = previous - C
         if c:
             coeffs[n] = c
     return ZetaSeries(zf.order, coeffs)

@@ -9,6 +9,7 @@ import itertools
 import pytest
 
 from arczeta import (
+    JET_SPACE_CAP,
     ClassStatus,
     DiagonalGerm,
     Distinguished,
@@ -282,7 +283,7 @@ def test_criterion_10_oracle_suite():
             d = len(exps)
             for q in (3, 5, 7):
                 for n in range(1, 5):
-                    if q ** (d * n) > 10**7:
+                    if q ** (d * n) > JET_SPACE_CAP:
                         continue
                     assert count_jets_with_order(germ, n, q) == jet_beta(
                         germ, n

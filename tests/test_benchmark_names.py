@@ -9,6 +9,7 @@ within the suite under ``tests/``, which does not run the benchmark's own
 
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -21,6 +22,7 @@ def _load(name: str):
         f"perfbench_{name}", PERFBENCH / f"{name}.py"
     )
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # where dataclasses look up a module
     spec.loader.exec_module(module)
     return module
 

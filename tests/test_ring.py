@@ -278,6 +278,22 @@ class TestZetaExpr:
         with pytest.raises(ValueError):
             zeta_term(ONE, [])
 
+    @pytest.mark.parametrize("shift", [1, -5, -6])
+    def test_shift_bounds(self, shift):
+        # positive, or leaving the lowest power of T at T^0 or below
+        with pytest.raises(ValueError):
+            zeta_term(ONE, [(1, 2), (1, 3)], shift)
+
+    def test_shifted_expansion(self):
+        # T^-4 * F(1, 1) * F(2, 5) is the unshifted term moved down by four;
+        # its first partial product is nonzero from T^-3 on
+        factors = [(1, 1), (2, 5)]
+        other = zeta_term(U, [(1, 3)])
+        shifted = zeta_expr([zeta_term(U - ONE, factors, -4), other]).expand(20)
+        plain = zeta_expr([zeta_term(U - ONE, factors)]).expand(24)
+        moved = {n - 4: plain.coeff(n) for n in range(5, 25)}
+        assert shifted == ZetaSeries(20, moved) + zeta_expr([other]).expand(20)
+
     @settings(max_examples=200, deadline=None)
     @given(
         st.lists(

@@ -1,20 +1,23 @@
 """Resolution-data evaluation, closed forms, convolution, comparison."""
 
+import math
 import tracemalloc
 
 import pytest
 
 from arczeta import (
     Component,
+    DiagonalGerm,
     Distinguished,
     NotDistinguished,
     ResolutionDatum,
-    UnsupportedComputationError,
+    UnsupportedGermError,
     closed_form,
     compare_invariants,
     dl_naive,
     dl_sign,
     germ_invariants,
+    germ_to_str,
     parse_germ,
     resolution_from_json,
     ts_convolve,
@@ -200,11 +203,55 @@ class TestExpansionMemory:
         assert self._peak_mb(datum_plane_curve_signed(4, -1), 512) < 3.0
 
 
+def _census() -> list:
+    """+-x^p and +-x^p +- y^q for 1 <= p <= q <= 9, eight three-variable
+    germs (three of them indefinite) and five monomials."""
+    germs = []
+    for p in range(1, 10):
+        germs += [DiagonalGerm(terms=((e, p),)) for e in (1, -1)]
+        germs += [
+            DiagonalGerm(terms=((e1, p), (e2, q)))
+            for q in range(p, 10)
+            for e1 in (1, -1)
+            for e2 in (1, -1)
+        ]
+    germs += [
+        parse_germ(text)
+        for text in (
+            "x^2+y^2+z^2", "x^2+y^4+z^4", "-x^2-y^4-z^6", "x^4+y^4+z^6",
+            "x^2-y^2+z^2", "x^3-y^3+z^3", "x^2+y^3+z^5", "x^2-y^4+z^3",
+            "x^2*y^3", "-x^2*y^2", "-x^3*y^5", "x^2*y^3*z^4", "x^2*y^0*z^5",
+        )
+    ]
+    return germs
+
+
+def _form_or_raise(route):
+    try:
+        return route(), None
+    except UnsupportedGermError as exc:
+        return None, exc.n
+
+
 class TestClosedForm:
+    def test_census_matches_the_sweep(self):
+        # to three periods past the first, every germ's form expands to the
+        # series zeta-germ prints, or both routes raise at the same T^n
+        mismatched, raised = [], 0
+        for g in _census():
+            order = 3 * math.lcm(*g.exponents) + 4
+            for variant in ("naive", "plus", "minus"):
+                form = _form_or_raise(lambda: closed_form(g, variant).expand(order))
+                swept = _form_or_raise(lambda: zeta_direct(g, order, variant))
+                raised += form[1] is not None
+                if form != swept:
+                    mismatched.append((germ_to_str(g), variant))
+        assert mismatched == []
+        assert raised == 12  # x^2-y^2+z^2, x^3-y^3+z^3, x^2-y^4+z^3, per variant
+
     def test_one_variable_power(self):
         e = closed_form(parse_germ("x^3"))
-        assert e.terms[0].coef == poly("u-1")
-        assert e.terms[0].factors == ((1, 3),)
+        assert e.terms == (zeta_term(U - ONE, [(1, 3)]),)
         assert e.expand(30) == zeta_direct(parse_germ("x^3"), 30)
 
     def test_monomial(self):
@@ -215,11 +262,14 @@ class TestClosedForm:
 
     def test_even_pair(self):
         e = closed_form(parse_germ("x^4+y^4"))
-        assert e.terms[0].coef == poly("u^2-1")
-        assert e.terms[0].factors == ((2, 4),)
+        assert e.terms == (zeta_term(poly("u^2-1"), [(2, 4)]),)
 
     def test_odd_pair(self):
         e = closed_form(parse_germ("x^5+y^5"))
+        assert {(t.coef, frozenset(t.factors), t.t_shift) for t in e.terms} == {
+            ((U - ONE) * U, frozenset({(2, 5)}), 0),
+            ((U - ONE) ** 2, frozenset({(2, 5), (1, 1)}), 0),
+        }
         assert e.expand(30) == zeta_direct(parse_germ("x^5+y^5"), 30)
 
     def test_sign_forms(self):
@@ -231,10 +281,14 @@ class TestClosedForm:
         assert closed_form(parse_germ("-x^2"), "minus").terms[0].coef == poly("2")
 
     def test_outside_catalogue(self):
-        with pytest.raises(UnsupportedComputationError):
-            closed_form(parse_germ("x^2+y^4"))
-        with pytest.raises(UnsupportedComputationError):
-            closed_form(parse_germ("x^4+y^4"), "plus")
+        # unequal exponents and sign forms of definite pairs have forms too;
+        # an indefinite three-way tie raises at its first T^n, as the sweep does
+        for text, variant in (("x^2+y^4", "naive"), ("x^4+y^4", "plus")):
+            g = parse_germ(text)
+            assert closed_form(g, variant).expand(40) == zeta_direct(g, 40, variant)
+        with pytest.raises(UnsupportedGermError) as info:
+            closed_form(parse_germ("x^3-y^3+z^3"))
+        assert info.value.n == 3
 
 
 class TestConvolution:
