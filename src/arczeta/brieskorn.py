@@ -121,22 +121,41 @@ def _open_case(p: int, q: int) -> bool:
 
 
 def recover_signs(
-    z: ZetaSeries, zplus: ZetaSeries, zminus: ZetaSeries, p: int, q: int
+    z: ZetaSeries, zplus: ZetaSeries, zminus: ZetaSeries, p: int, q: int,
+    germ: DiagonalGerm | None = None,
 ) -> tuple[SignValue, SignValue, tuple[str, ...]] | None:
     """The signs shared by every germ e1*x^p + e2*y^q that rebuilds the input.
 
     A sign pair is kept when its germ reproduces all three series; a sign
     the kept pairs do not agree on is undetermined.  Returns None when no
     pair is kept.
+
+    ``germ``, when given, is trusted without a check to be the germ the
+    three series were computed from at their order: the candidate equal to
+    it, or to its negation, takes its series from the input instead of
+    computing them again.  A germ that did not produce the input can give a
+    wrong verdict.
     """
     given = (z, zplus, zminus)
+    # germ with a positive first term: germ itself, or -germ, whose series
+    # are the input's with the two sign series swapped
+    known = None
+    if germ is not None:
+        (e1, a), (e, b) = germ.terms
+        known = DiagonalGerm(terms=((1, a), (e1 * e, b)))
+        known_series = given if e1 == 1 else (z, zminus, zplus)
     kept: set[tuple[int, int]] = set()
     for e2 in (1, -1):
-        inv = germ_invariants(DiagonalGerm(terms=((1, p), (e2, q))), z.order)
+        candidate = DiagonalGerm(terms=((1, p), (e2, q)))
+        if candidate == known:
+            naive, plus, minus = known_series
+        else:
+            inv = germ_invariants(candidate, z.order)
+            naive, plus, minus = inv.naive, inv.plus, inv.minus
         # -f has the same naive series and swaps the two sign series
         for pair, series in (
-            ((1, e2), (inv.naive, inv.plus, inv.minus)),
-            ((-1, -e2), (inv.naive, inv.minus, inv.plus)),
+            ((1, e2), (naive, plus, minus)),
+            ((-1, -e2), (naive, minus, plus)),
         ):
             if series == given:
                 # for p = q, x <-> y makes the two mixed orders one germ
@@ -162,9 +181,14 @@ def recover_signs(
 
 
 def classify(
-    z: ZetaSeries, zplus: ZetaSeries, zminus: ZetaSeries
+    z: ZetaSeries, zplus: ZetaSeries, zminus: ZetaSeries,
+    germ: DiagonalGerm | None = None,
 ) -> BrieskornClass:
-    """Assemble the full classification report from the three series."""
+    """Assemble the full classification report from the three series.
+
+    ``germ``, the two-variable diagonal germ the series were computed from,
+    is passed on to :func:`recover_signs`, which trusts it without a check.
+    """
 
     def inconsistent(note: str, p=None, q=None) -> BrieskornClass:
         return BrieskornClass(
@@ -196,7 +220,7 @@ def classify(
             f"truncation order {z.order} too small: classification needs at "
             f"least {2 * q + 2}", p=p, q=q,
         )
-    signs = recover_signs(z, zplus, zminus, p, q)
+    signs = recover_signs(z, zplus, zminus, p, q, germ)
     if signs is None:
         return inconsistent(NO_MATCHING_SIGN_NOTE, p=p, q=q)
     eps_p, eps_q, notes = signs

@@ -9,6 +9,7 @@ memory included).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .errors import ArczetaError, InputError, UnsupportedComputationError, loads
@@ -16,7 +17,10 @@ from .ring import DEFAULT_ORDER, ZetaSeries, format_poly, format_series
 
 # each handler imports the modules it runs, so a call loads only those:
 # zeta-germ needs jets and ring, beta vpoly and ring, oracle jets, ring and
-# oracle; json is imported only to read or write a JSON document
+# oracle; json is imported only to read or write a JSON document.  The
+# parser is built once per process and shared by every main() call: parsing
+# leaves nothing on it, as each call gets a fresh namespace and append copies
+# its default list before adding to it
 
 TS_CAVEAT = (
     "note: the convolution identity assumes both summand germs are positive "
@@ -41,6 +45,7 @@ def _add_common(p: argparse.ArgumentParser, *, sign: bool = False):
                        default="naive")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="arczeta", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -147,10 +152,11 @@ def _cmd_classify(args) -> tuple[str, dict]:
         inv = germ_invariants(germ, args.order)
         z, zp, zm = inv.naive, inv.plus, inv.minus
     elif len(args.series_file) == 3:
+        germ = None
         z, zp, zm = (_load_series_file(p) for p in args.series_file)
     else:
         raise InputError("classify needs --germ or exactly three --series-file")
-    payload = classify(z, zp, zm).to_json_dict()
+    payload = classify(z, zp, zm, germ).to_json_dict()
     keys = ("p", "q", "eps_p", "eps_q", "status")
     lines = [f"{key} = {payload[key]}" for key in keys]
     lines.extend(f"note: {n}" for n in payload["notes"])

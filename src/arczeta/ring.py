@@ -310,7 +310,15 @@ def format_poly(p: LaurentPoly) -> str:
     return out[1:] if out.startswith("+") else out
 
 
-_TERM_RE = re.compile(r"^([+-]?)(?:(\d+)\*?)?(u(?:\^(-?\d+))?)?$")
+# one term is [sign][digits][*]u^[exponent] with digits or u present; the
+# sign is optional on the first term only, and a term may end in one
+# newline, which earlier versions accepted and so stored files may hold
+_POLY_TERM = r"(?=[\du])(?:\d+\*?)?(?:u(?:\^-?\d+)?)?\n?"
+_POLY_RE = re.compile(rf"[+-]?{_POLY_TERM}(?:[+-]{_POLY_TERM})*")
+# sign, digits, u and exponent of each term of a string _POLY_RE accepted
+_TERM_RE = re.compile(r"(?!\Z)([+-]?)(\d*)\*?(u?)(?:\^(-?\d+))?\n?")
+# before every sign that starts a new term; a sign directly after '^'
+# belongs to the exponent
 _SPLIT_RE = re.compile(r"(?<!\^)(?=[+-])")
 
 
@@ -325,28 +333,14 @@ def parse_poly(text: str) -> LaurentPoly:
     s = text.replace(" ", "")
     if not s:
         raise InputError("empty polynomial string")
-    if s == "0":
-        return ZERO
-    # split before every sign that starts a new term; a sign directly after
-    # '^' belongs to the exponent
-    pieces = _SPLIT_RE.split(s)
-    if not pieces[0]:
-        del pieces[0]
+    if not _POLY_RE.fullmatch(s):
+        # the split serves only to name the first bad term
+        bad = next(p for p in _SPLIT_RE.split(s) if p and not _POLY_RE.fullmatch(p))
+        raise InputError(f"bad term {bad!r} in polynomial {text!r}")
     terms: dict[int, int] = {}
-    for piece in pieces:
-        m = _TERM_RE.match(piece)
-        if not m:
-            raise InputError(f"bad term {piece!r} in polynomial {text!r}")
-        sign, digits, upart, exponent = m.groups()
-        if digits is None and upart is None:
-            raise InputError(f"bad term {piece!r} in polynomial {text!r}")
-        coeff = int(digits) if digits is not None else 1
-        if upart is None:
-            expo = 0
-        elif exponent is None:
-            expo = 1
-        else:
-            expo = int(exponent)
+    for sign, digits, upart, exponent in _TERM_RE.findall(s):
+        expo = int(exponent) if exponent else 1 if upart else 0
+        coeff = int(digits) if digits else 1
         terms[expo] = terms.get(expo, 0) + (-coeff if sign == "-" else coeff)
     return LaurentPoly(terms)
 

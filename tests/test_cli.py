@@ -320,6 +320,48 @@ class TestClassify:
             "status = inconsistent",
         ]
 
+    @pytest.mark.parametrize(
+        "germ", ["x^4-y^6", "x^4+y^6", "-x^4+y^6", "-x^4-y^6", "x^6-y^4", "-x^4+y^4"]
+    )
+    def test_each_germ_is_computed_once(self, germ, monkeypatch, capsys):
+        from arczeta import brieskorn, jets, zeta
+
+        calls = []
+        original = jets.zeta_direct
+
+        def counted(g, order, variant="naive"):
+            calls.append((g, order, variant))
+            return original(g, order, variant)
+
+        for module in (jets, zeta, brieskorn):
+            monkeypatch.setattr(module, "zeta_direct", counted)
+        assert main(["classify", f"--germ={germ}"]) == 0
+        assert "status = " in capsys.readouterr().out
+        # the input's three series, the x^p reference, and the other
+        # positive-first candidate's three
+        assert len(calls) == len(set(calls)) == 7
+
+    def test_series_file_lists_do_not_carry_over(self, tmp_path, capsys):
+        from arczeta import germ_invariants, parse_germ
+
+        inv = germ_invariants(parse_germ("x^2+y^4"), 12)
+        three = ["classify"]
+        for name in ("naive", "plus", "minus"):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(getattr(inv, name).to_json_dict()))
+            three += ["--series-file", str(path)]
+        one = three[:3]
+        # --germ leaves the append default in place, so it follows a list
+        germ = ["classify", "--germ", "x^2+y^4", "--order", "12"]
+        results = []
+        for argv in (three, one, germ) * 2:
+            code = main(argv)
+            results.append((code, *capsys.readouterr()))
+        assert results[:3] == results[3:]
+        assert results[0] == results[2] and results[0][0] == 0
+        assert results[1] == (
+            1, "", "error: classify needs --germ or exactly three --series-file\n")
+
     def test_wrong_series_file_count(self, tmp_path):
         p = tmp_path / "one.json"
         p.write_text("{}")

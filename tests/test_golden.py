@@ -108,14 +108,25 @@ def test_output_is_byte_identical(argv, capsys, monkeypatch):
     assert [code, out, err] == _load()[_key(argv)]
 
 
+def _call(argv: list[str]) -> list:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return [code, out.getvalue(), err.getvalue()]
+
+
+def test_one_parser_serves_every_call_in_any_order(monkeypatch):
+    # the reversed pass starts with the error exits (--order 0, --sign both,
+    # a missing file, ...), so they fall between successful calls
+    monkeypatch.chdir(ROOT)
+    cli.build_parser.cache_clear()
+    for argv in corpus() + corpus()[::-1]:
+        assert _call(argv) == _load()[_key(argv)], argv
+    assert cli.build_parser.cache_info().misses == 1
+
+
 def _record() -> dict:
-    recorded = {}
-    for argv in corpus():
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = cli.main(argv)
-        recorded[_key(argv)] = [code, out.getvalue(), err.getvalue()]
-    return recorded
+    return {_key(argv): _call(argv) for argv in corpus()}
 
 
 if __name__ == "__main__":

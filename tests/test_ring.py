@@ -1,9 +1,10 @@
 """Laurent polynomial and truncated series arithmetic."""
 
+import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from arczeta.errors import InputError, RingBoundError, UnsupportedComputationError
@@ -107,6 +108,70 @@ class TestRingLaws:
     @given(small_polys)
     def test_text_round_trip(self, a):
         assert parse_poly(format_poly(a)) == a
+
+
+# parse_poly as it was before the one-pass grammar: split before every sign
+# not after '^', then match each piece against the term pattern
+_SPLIT_TERM_RE = re.compile(r"^([+-]?)(?:(\d+)\*?)?(u(?:\^(-?\d+))?)?$")
+_SPLIT_RE = re.compile(r"(?<!\^)(?=[+-])")
+
+
+def _split_parse_poly(text):
+    if not isinstance(text, str):
+        raise InputError(f"a polynomial must be a string, got {text!r}")
+    s = text.replace(" ", "")
+    if not s:
+        raise InputError("empty polynomial string")
+    if s == "0":
+        return ZERO
+    pieces = _SPLIT_RE.split(s)
+    if not pieces[0]:
+        del pieces[0]
+    terms = {}
+    for piece in pieces:
+        m = _SPLIT_TERM_RE.match(piece)
+        if not m:
+            raise InputError(f"bad term {piece!r} in polynomial {text!r}")
+        sign, digits, upart, exponent = m.groups()
+        if digits is None and upart is None:
+            raise InputError(f"bad term {piece!r} in polynomial {text!r}")
+        coeff = int(digits) if digits is not None else 1
+        if upart is None:
+            expo = 0
+        elif exponent is None:
+            expo = 1
+        else:
+            expo = int(exponent)
+        terms[expo] = terms.get(expo, 0) + (-coeff if sign == "-" else coeff)
+    return LaurentPoly(terms)
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except (InputError, RingBoundError) as exc:
+        return type(exc), str(exc)
+
+
+poly_texts = st.one_of(
+    st.text(alphabet="0123456789u^+-* \n", max_size=16),
+    st.lists(st.sampled_from(["u", "^", "-", "+", "*", " ", "\n", "0", "1", "2",
+                              "12", "u^-3", "3000000"]), max_size=10).map("".join),
+)
+
+
+class TestParseGrammar:
+    @settings(max_examples=1500, deadline=None)
+    @given(poly_texts)
+    @example("u^3000000-u^3000000+1")  # past the span bound until cancelled
+    @example("0*u^-9999999999+u")
+    @example("u^-3000000000")
+    @example("u\n+1")  # one newline may end a term
+    @example("u\n\n")
+    @example("2*")
+    @example("-0")
+    def test_same_as_the_split_parser(self, text):
+        assert _outcome(parse_poly, text) == _outcome(_split_parse_poly, text)
 
 
 def _sparse(p):
