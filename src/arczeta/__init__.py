@@ -28,16 +28,14 @@ _EXPORTS = {
     "oracle": ("JET_SPACE_CAP", "count_jets_with_order"),
     "ring": (
         "DEFAULT_ORDER", "LaurentPoly", "ZetaExpr", "ZetaSeries", "ZetaTerm",
-        "expand_term", "format_poly", "format_series", "parse_poly", "zeta_expr",
-        "zeta_term",
+        "format_poly", "format_series", "parse_poly", "zeta_expr", "zeta_term",
     ),
     "vpoly": (
         "Affine", "BetaScript", "BlowupDef", "Custom", "Difference",
         "DisjointUnion", "ExprDef", "Points", "Product", "ProjSpace",
-        "PuncturedAffine", "Ref", "Sphere", "Torus", "VerificationResult",
-        "beta_atom", "beta_expr", "blowup_solve", "count_points", "difference",
-        "expr_dim", "product", "run_script", "script_from_json", "union",
-        "verify_polynomial_count",
+        "PuncturedAffine", "Ref", "Sphere", "Torus", "beta_atom", "beta_expr",
+        "blowup_solve", "difference", "product", "run_script", "script_from_json",
+        "union",
     ),
     "zeta": (
         "Component", "Distinguished", "InvariantTriple", "NotDistinguished",

@@ -3,7 +3,7 @@
 Subcommands: zeta-germ, zeta-res, beta, classify, ts, oracle, compare.
 Outputs are deterministic (identical inputs give byte-identical output).
 Exit codes: 0 success, 1 malformed input, 2 unsupported computation (out of
-memory included).
+memory included), 3 an oracle count differed from beta(q).
 """
 
 from __future__ import annotations
@@ -279,8 +279,10 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         if getattr(args, "order", 1) < 1:
             raise InputError("--order must be a positive integer")
-        _emit(args, *_COMMANDS[args.command](args))
-        return 0
+        text, payload = _COMMANDS[args.command](args)
+        _emit(args, text, payload)
+        # only oracle rows carry a verdict; a failed one is printed, then exit 3
+        return 0 if all(row["ok"] for row in payload.get("results", ())) else 3
     except UnsupportedComputationError as exc:
         sys.stderr.write(f"unsupported: {exc}\n")
         return 2

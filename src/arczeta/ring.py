@@ -311,12 +311,11 @@ def format_poly(p: LaurentPoly) -> str:
 
 
 # one term is [sign][digits][*]u^[exponent] with digits or u present; the
-# sign is optional on the first term only, and a term may end in one
-# newline, which earlier versions accepted and so stored files may hold
-_POLY_TERM = r"(?=[\du])(?:\d+\*?)?(?:u(?:\^-?\d+)?)?\n?"
+# sign is optional on the first term only
+_POLY_TERM = r"(?=[\du])(?:\d+\*?)?(?:u(?:\^-?\d+)?)?"
 _POLY_RE = re.compile(rf"[+-]?{_POLY_TERM}(?:[+-]{_POLY_TERM})*")
 # sign, digits, u and exponent of each term of a string _POLY_RE accepted
-_TERM_RE = re.compile(r"(?!\Z)([+-]?)(\d*)\*?(u?)(?:\^(-?\d+))?\n?")
+_TERM_RE = re.compile(r"(?!\Z)([+-]?)(\d*)\*?(u?)(?:\^(-?\d+))?")
 # before every sign that starts a new term; a sign directly after '^'
 # belongs to the exponent
 _SPLIT_RE = re.compile(r"(?<!\^)(?=[+-])")
@@ -488,23 +487,6 @@ def format_series(z: ZetaSeries) -> str:
             body += f"*u^{low}"
         parts.append(f"{body}*T^{n}")
     return " + ".join(parts)
-
-
-def expand_term(nu: int, N: int, order: int) -> ZetaSeries:
-    """Geometric expansion of u^-nu T^N / (1 - u^-nu T^N) to the given order.
-
-    The T^n coefficient is u^(-m*nu) when n = m*N <= order and zero otherwise.
-    """
-    if nu < 1 or N < 1:
-        raise ValueError("factor parameters must be positive integers")
-    if order < 1:
-        raise ValueError("truncation order must be a positive integer")
-    coeffs = {}
-    m = 1
-    while m * N <= order:
-        coeffs[m * N] = LaurentPoly.u_power(-m * nu)
-        m += 1
-    return ZetaSeries(order, coeffs)
 
 
 @frozen

@@ -7,23 +7,16 @@ pieces with a stored value).  The invariant beta assigns to each piece a
 Laurent polynomial that is additive over disjoint unions and differences and
 multiplicative over products, with deg(beta) equal to the dimension.
 
-Two oracles keep the symbolic values honest: an exact F_q point count for
-the atoms whose counts are polynomial in q, and Lagrange interpolation of
-those counts back to a polynomial that must reproduce beta.
-
 Everything here is immutable and side-effect free.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Union
+from typing import Union
 
 from ._value import frozen
-from .errors import InputError, RingBoundError, UnsupportedComputationError, loads
+from .errors import InputError, RingBoundError, loads
 from .ring import ONE, ZERO, LaurentPoly, check_span, format_poly, parse_poly
-
-if TYPE_CHECKING:
-    from fractions import Fraction
 
 # ---------------------------------------------------------------------------
 # atoms
@@ -107,8 +100,9 @@ class Sphere:
     The value follows from invariance of beta under Nash isomorphisms: any
     definite diagonal level set is Nash-isomorphic to the round sphere, and
     a compact nonsingular set takes its mod-2 Betti numbers as beta.  This
-    is a derived rule of the calculus, not one of the base atoms' counting
-    formulas; see :func:`count_points` for the consequences.
+    is a derived rule of the calculus, not a counting formula: the F_q
+    points of a sphere's quadric number beta(q) only in dimension at most 1
+    and at q = 3 (mod 4).
     """
 
     k: int
@@ -119,15 +113,11 @@ class Sphere:
 
 @frozen
 class Custom:
-    """A piece with externally supplied invariant (and optional count rule).
-
-    ``count_poly``, when present, is evaluated at q to count F_q points.
-    """
+    """A piece with externally supplied invariant."""
 
     name: str
     beta: LaurentPoly
     dim: int
-    count_poly: LaurentPoly | None = None
 
     def __post_init__(self):
         if self.beta and self.beta.degree != self.dim:
@@ -277,35 +267,6 @@ def _bounded_product(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     return a * b
 
 
-def expr_dim(e: PieceExpr) -> int:
-    """Dimension read off the structure of the description (-1 for empty)."""
-    if isinstance(e, DisjointUnion):
-        dims = [expr_dim(p) for p in e.parts]
-        return max(dims, default=-1)
-    if isinstance(e, Product):
-        dims = [expr_dim(p) for p in e.parts]
-        if any(d < 0 for d in dims):
-            return -1
-        return sum(dims)
-    if isinstance(e, Difference):
-        return expr_dim(e.whole)
-    if isinstance(e, Affine):
-        return e.m
-    if isinstance(e, Torus):
-        return e.k
-    if isinstance(e, PuncturedAffine):
-        return e.m if e.m >= 1 else -1
-    if isinstance(e, Points):
-        return 0 if e.c >= 1 else -1
-    if isinstance(e, ProjSpace):
-        return e.k
-    if isinstance(e, Sphere):
-        return e.k
-    if isinstance(e, Custom):
-        return e.dim if e.beta else -1
-    raise TypeError(f"not a piece expression: {e!r}")
-
-
 # ---------------------------------------------------------------------------
 # blow-up relation
 # ---------------------------------------------------------------------------
@@ -335,158 +296,6 @@ def blowup_solve(
     # the signed betas sum to zero, so the missing one is fixed by the rest
     given = (b * _BLOWUP_SIGNS[k] for k, b in values.items() if b is not None)
     return sum(given, ZERO) * -_BLOWUP_SIGNS[missing[0]]
-
-
-# ---------------------------------------------------------------------------
-# F_q point counting and interpolation
-# ---------------------------------------------------------------------------
-
-
-def is_prime_power(q: int) -> bool:
-    # imported here: a beta call loads this module and must not load oracle
-    # or jets
-    from .oracle import _least_factor
-
-    if q < 2:
-        return False
-    p = _least_factor(q)
-    while q % p == 0:
-        q //= p
-    return q == 1
-
-
-def _count_circle(q: int) -> int:
-    # honest enumeration of x^2 + y^2 = 1 over F_q
-    squares = [x * x % q for x in range(q)]
-    return sum(1 for x in range(q) for y in range(q) if (squares[x] + squares[y]) % q == 1)
-
-
-def count_points(e: PieceExpr, q: int) -> int:
-    """Number of F_q points of the piece description.
-
-    For all atoms except Sphere the count is polynomial in q and equals
-    beta evaluated at q.  Sphere(k) is counted from the genuine circle
-    quadric and only for k <= 1 with q = 3 mod 4, where x^2 + y^2 = 0
-    forces x = y = 0 and the count matches the real constructible
-    structure; higher spheres have no uniform algebraic count matching
-    beta and are rejected.
-    """
-    if not isinstance(q, int) or not is_prime_power(q):
-        raise ValueError(f"q must be a prime power, got {q!r}")
-    if isinstance(e, DisjointUnion):
-        return sum(count_points(p, q) for p in e.parts)
-    if isinstance(e, Product):
-        total = 1
-        for p in e.parts:
-            total *= count_points(p, q)
-        return total
-    if isinstance(e, Difference):
-        return count_points(e.whole, q) - count_points(e.part, q)
-    if isinstance(e, Affine):
-        return q**e.m
-    if isinstance(e, Torus):
-        return (q - 1) ** e.k
-    if isinstance(e, PuncturedAffine):
-        return q**e.m - 1
-    if isinstance(e, Points):
-        return e.c
-    if isinstance(e, ProjSpace):
-        return sum(q**i for i in range(e.k + 1))
-    if isinstance(e, Sphere):
-        if q % 4 != 3:
-            raise UnsupportedComputationError(
-                f"sphere counting requires q = 3 mod 4, got q = {q}"
-            )
-        if e.k == 0:
-            return sum(1 for x in range(q) if x * x % q == 1)
-        if e.k == 1:
-            return _count_circle(q)
-        raise UnsupportedComputationError(
-            f"no uniform F_q count matches beta for Sphere({e.k}); "
-            "only k <= 1 is countable"
-        )
-    if isinstance(e, Custom):
-        if e.count_poly is None:
-            raise UnsupportedComputationError(
-                f"custom piece {e.name!r} carries no count rule"
-            )
-        value = e.count_poly.evaluate(q)
-        if value.denominator != 1:
-            raise UnsupportedComputationError(
-                f"count rule of {e.name!r} is not integral at q = {q}"
-            )
-        return int(value)
-    raise TypeError(f"not a piece expression: {e!r}")
-
-
-def _lagrange_interpolate(points: list[tuple[int, int]]) -> list[Fraction]:
-    """Coefficients (ascending) of the interpolating polynomial."""
-    from fractions import Fraction
-
-    n = len(points)
-    coeffs = [Fraction(0)] * n
-    for i, (xi, yi) in enumerate(points):
-        # numerator polynomial prod_{j != i} (X - xj), built incrementally
-        basis = [Fraction(1)]
-        denom = Fraction(1)
-        for j, (xj, _) in enumerate(points):
-            if j == i:
-                continue
-            denom *= xi - xj
-            new = [Fraction(0)] * (len(basis) + 1)
-            for k, b in enumerate(basis):
-                new[k] -= b * xj
-                new[k + 1] += b
-            basis = new
-        scale = Fraction(yi) / denom
-        for k, b in enumerate(basis):
-            coeffs[k] += b * scale
-    return coeffs
-
-
-@frozen
-class VerificationResult:
-    ok: bool
-    witness: LaurentPoly | None
-    expected: LaurentPoly
-    counts: tuple[tuple[int, int], ...]
-    message: str = ""
-
-
-def verify_polynomial_count(e: PieceExpr, qs: list[int]) -> VerificationResult:
-    """Interpolate F_q counts to a polynomial in q and compare with beta.
-
-    Needs at least deg(beta) + 1 pairwise distinct prime powers.
-    """
-    if len(set(qs)) != len(qs):
-        raise ValueError("q values must be pairwise distinct")
-    expected = beta_expr(e)
-    needed = (expected.degree if expected else 0) + 1
-    if len(qs) < needed:
-        raise ValueError(
-            f"interpolation degree exceeded: need at least {needed} q values, "
-            f"got {len(qs)}"
-        )
-    counts = tuple((q, count_points(e, q)) for q in sorted(qs))
-    coeffs = _lagrange_interpolate([(q, c) for q, c in counts])
-    if any(c.denominator != 1 for c in coeffs):
-        return VerificationResult(
-            ok=False,
-            witness=None,
-            expected=expected,
-            counts=counts,
-            message="counts do not interpolate to an integer polynomial",
-        )
-    witness = LaurentPoly({i: int(c) for i, c in enumerate(coeffs)})
-    if witness == expected:
-        return VerificationResult(True, witness, expected, counts)
-    return VerificationResult(
-        ok=False,
-        witness=witness,
-        expected=expected,
-        counts=counts,
-        message=f"interpolated {format_poly(witness)} but beta is {format_poly(expected)}",
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -580,12 +389,10 @@ def atom_from_json(obj: dict) -> Atom:
         if not isinstance(value, dict):
             raise InputError(f"a custom atom needs an object: {value!r}")
         try:
-            count = value.get("count")
             return Custom(
                 name=value["name"],
                 beta=parse_poly(value["beta"]),
                 dim=int(value["dim"]),
-                count_poly=parse_poly(count) if count is not None else None,
             )
         except InputError:
             raise

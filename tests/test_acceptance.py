@@ -26,7 +26,6 @@ from arczeta import (
     jet_strata,
     parse_germ,
     ts_convolve,
-    verify_polynomial_count,
     zeta_direct,
     zeta_expr,
     zeta_term,
@@ -53,6 +52,7 @@ from conftest import (
     datum_x2_y4,
     poly,
 )
+from fq_reference import count_points, verify_polynomial_count
 from test_brieskorn import expected_class
 from test_vpoly import CUSP_CURVE, TWO_BRANCH_CURVE, WHITNEY
 
@@ -297,8 +297,6 @@ def test_criterion_10_oracle_suite():
         product(PuncturedAffine(1), Torus(1)),
         union(Torus(1), Points(1)),
     ]
-    from arczeta import count_points
-
     for e in pieces:
         b = beta_expr(e)
         for q in (3, 5, 7, 11):

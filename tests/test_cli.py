@@ -250,6 +250,20 @@ class TestBeta:
         rc, out, _ = run_cli("beta", "--script", str(path), timeout=5)
         assert rc == 0 and out == "P = u^10000000\n"
 
+    def test_custom_count_key_is_ignored(self, tmp_path, capsys):
+        # a custom atom's "count" rule was once read; it is an ignored extra
+        # key now, and the betas are those of the script without it
+        with_count = json.loads(json.dumps(WHITNEY))
+        with_count["defs"][0]["expr"]["atom"]["custom"]["count"] = "u^2+1"
+        outputs = []
+        for document in (WHITNEY, with_count):
+            path = tmp_path / "script.json"
+            path.write_text(json.dumps(document))
+            assert main(["beta", "--script", str(path)]) == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1]
+        assert outputs[1].out == "P = u\nW_minus_L = u^2-u\nW = u^2\n"
+
 
 class TestClassify:
     def test_open_case_report(self):
@@ -462,6 +476,22 @@ class TestOracle:
         rc, out, _ = run_cli("oracle", "--germ", "x^2*y^3", "--n", "5", "--q", "3,5")
         assert rc == 0
         assert out.count("PASS") == 2 and "FAIL" not in out
+
+    # x^2+y^2 at n = 2 counts beta(q) at q = 3 and 7 but not at q = 5
+    @pytest.mark.parametrize("qs, rc", [("3,7", 0), ("5", 3), ("3,5,7", 3)])
+    @pytest.mark.parametrize("fmt", ["text", "json", "out"])
+    def test_failed_row_exits_3(self, qs, rc, fmt, tmp_path, capsys):
+        out_file = tmp_path / "rows.txt"
+        extra = {"text": [], "json": ["--format", "json"],
+                 "out": ["--out", str(out_file)]}[fmt]
+        assert main(["oracle", "--germ", "x^2+y^2", "--n", "2", "--q", qs, *extra]) == rc
+        out, err = capsys.readouterr()
+        if fmt == "out":
+            assert out == ""
+            out = out_file.read_text()
+        # every row still prints, the failed ones included
+        rows = json.loads(out)["results"] if fmt == "json" else out.splitlines()
+        assert err == "" and len(rows) == len(qs.split(","))
 
     def test_cap_exit_2(self):
         rc, _, err = run_cli("oracle", "--germ", "x^2+y^2+z^2", "--n", "4", "--q", "7")

@@ -122,13 +122,12 @@ SURFACE = {
             "UnsupportedGermError germ_to_str jet_beta jet_beta_sign jet_strata "
             "parse_germ tie_curve_rule zeta_direct",
     "oracle": "JET_SPACE_CAP count_jets_with_order",
-    "ring": "DEFAULT_ORDER LaurentPoly ZetaExpr ZetaSeries ZetaTerm expand_term "
-            "format_poly format_series parse_poly zeta_expr zeta_term",
+    "ring": "DEFAULT_ORDER LaurentPoly ZetaExpr ZetaSeries ZetaTerm format_poly "
+            "format_series parse_poly zeta_expr zeta_term",
     "vpoly": "Affine BetaScript BlowupDef Custom Difference DisjointUnion ExprDef "
-             "Points Product ProjSpace PuncturedAffine Ref Sphere Torus "
-             "VerificationResult beta_atom beta_expr blowup_solve count_points "
-             "difference expr_dim product run_script script_from_json union "
-             "verify_polynomial_count",
+             "Points Product ProjSpace PuncturedAffine Ref Sphere Torus beta_atom "
+             "beta_expr blowup_solve difference product run_script script_from_json "
+             "union",
     "zeta": "Component Distinguished InvariantTriple NotDistinguished "
             "ResolutionDatum StratumData closed_form compare_invariants dl_expr "
             "dl_naive dl_sign germ_invariants resolution_from_json ts_convolve",
@@ -137,7 +136,7 @@ SURFACE = {
 
 def test_package_surface():
     names = {name for names in SURFACE.values() for name in names.split()}
-    assert len(arczeta.__all__) == 84
+    assert len(arczeta.__all__) == 79
     assert set(arczeta.__all__) == names | set(SURFACE)
     for module_name, exported in SURFACE.items():
         module = importlib.import_module(f"arczeta.{module_name}")

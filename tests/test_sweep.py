@@ -20,7 +20,9 @@ from arczeta import (
     parse_germ,
     zeta_direct,
 )
-from arczeta.ring import ZERO, LaurentPoly, ZetaSeries, expand_term, zeta_expr, zeta_term
+from arczeta.ring import ZERO, LaurentPoly, ZetaSeries, zeta_expr, zeta_term
+
+from fq_reference import expand_term
 
 VARIANTS = ("naive", "plus", "minus")
 
