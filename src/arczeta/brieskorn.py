@@ -12,14 +12,15 @@ reference comparison is plain equality g_n = a_n; the case split is
     q = l      otherwise.
 
 The signs are read off the germs that reproduce the input.  Of the four
-germs +-x^p +- y^q, a sign pair is kept when the jet engine rebuilds all
-three series from it; each sign is the one the kept pairs share, and
+germs +-x^p +- y^q, a sign pair is kept when the germ's invariant triple
+equals all three series; each sign is the one the kept pairs share, and
 undetermined when they disagree.  So every reported class has been checked
-against the input, and a triple that no pair rebuilds is reported as
-inconsistent.  Replacing x by -x flips the sign of an odd power without
-moving the germ, so an odd exponent never determines its sign.  The one
-genuinely open case is p odd with q an even multiple of p, where whether
-the sign of the second term moves the class is not known.
+against the input, which is the three series alone, and a triple that no
+pair rebuilds is reported as inconsistent.  Replacing x by -x flips the
+sign of an odd power without moving the germ, so an odd exponent never
+determines its sign.  The one genuinely open case is p odd with q an even
+multiple of p, where whether the sign of the second term moves the class
+is not known.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from ._value import frozen
 from .errors import ClassifyError
 from .jets import DiagonalGerm, zeta_direct
 from .ring import ONE, U, LaurentPoly, ZetaSeries
-from .zeta import germ_invariants
+from .zeta import InvariantTriple, germ_invariants
 
 
 class SignValue(str, Enum):
@@ -121,45 +122,22 @@ def _open_case(p: int, q: int) -> bool:
 
 
 def recover_signs(
-    z: ZetaSeries, zplus: ZetaSeries, zminus: ZetaSeries, p: int, q: int,
-    germ: DiagonalGerm | None = None,
+    z: ZetaSeries, zplus: ZetaSeries, zminus: ZetaSeries, p: int, q: int
 ) -> tuple[SignValue, SignValue, tuple[str, ...]] | None:
     """The signs shared by every germ e1*x^p + e2*y^q that rebuilds the input.
 
-    A sign pair is kept when its germ reproduces all three series; a sign
-    the kept pairs do not agree on is undetermined.  Returns None when no
-    pair is kept.
-
-    ``germ``, when given, is trusted without a check to be the germ the
-    three series were computed from at their order: the candidate equal to
-    it, or to its negation, takes its series from the input instead of
-    computing them again.  A germ that did not produce the input can give a
-    wrong verdict.
+    A sign pair is kept when :func:`zeta.germ_invariants` of its germ equals
+    all three series; a sign the kept pairs do not agree on is undetermined.
+    Returns None when no pair is kept.
     """
-    given = (z, zplus, zminus)
-    # germ with a positive first term: germ itself, or -germ, whose series
-    # are the input's with the two sign series swapped
-    known = None
-    if germ is not None:
-        (e1, a), (e, b) = germ.terms
-        known = DiagonalGerm(terms=((1, a), (e1 * e, b)))
-        known_series = given if e1 == 1 else (z, zminus, zplus)
-    kept: set[tuple[int, int]] = set()
-    for e2 in (1, -1):
-        candidate = DiagonalGerm(terms=((1, p), (e2, q)))
-        if candidate == known:
-            naive, plus, minus = known_series
-        else:
-            inv = germ_invariants(candidate, z.order)
-            naive, plus, minus = inv.naive, inv.plus, inv.minus
-        # -f has the same naive series and swaps the two sign series
-        for pair, series in (
-            ((1, e2), (naive, plus, minus)),
-            ((-1, -e2), (naive, minus, plus)),
-        ):
-            if series == given:
-                # for p = q, x <-> y makes the two mixed orders one germ
-                kept.add((1, -1) if p == q and pair[0] != pair[1] else pair)
+    given = InvariantTriple(z, zplus, zminus)
+    kept = {
+        # for p = q, x <-> y makes the two mixed orders one germ
+        (1, -1) if p == q and e1 != e2 else (e1, e2)
+        for e1 in (1, -1)
+        for e2 in (1, -1)
+        if germ_invariants(DiagonalGerm(((e1, p), (e2, q))), z.order) == given
+    }
     if not kept:
         return None
     eps_p, eps_q = (
@@ -180,15 +158,8 @@ def recover_signs(
     return eps_p, eps_q, notes
 
 
-def classify(
-    z: ZetaSeries, zplus: ZetaSeries, zminus: ZetaSeries,
-    germ: DiagonalGerm | None = None,
-) -> BrieskornClass:
-    """Assemble the full classification report from the three series.
-
-    ``germ``, the two-variable diagonal germ the series were computed from,
-    is passed on to :func:`recover_signs`, which trusts it without a check.
-    """
+def classify(z: ZetaSeries, zplus: ZetaSeries, zminus: ZetaSeries) -> BrieskornClass:
+    """Assemble the full classification report from the three series alone."""
 
     def inconsistent(note: str, p=None, q=None) -> BrieskornClass:
         return BrieskornClass(
@@ -220,7 +191,7 @@ def classify(
             f"truncation order {z.order} too small: classification needs at "
             f"least {2 * q + 2}", p=p, q=q,
         )
-    signs = recover_signs(z, zplus, zminus, p, q, germ)
+    signs = recover_signs(z, zplus, zminus, p, q)
     if signs is None:
         return inconsistent(NO_MATCHING_SIGN_NOTE, p=p, q=q)
     eps_p, eps_q, notes = signs

@@ -152,11 +152,10 @@ def _cmd_classify(args) -> tuple[str, dict]:
         inv = germ_invariants(germ, args.order)
         z, zp, zm = inv.naive, inv.plus, inv.minus
     elif len(args.series_file) == 3:
-        germ = None
         z, zp, zm = (_load_series_file(p) for p in args.series_file)
     else:
         raise InputError("classify needs --germ or exactly three --series-file")
-    payload = classify(z, zp, zm, germ).to_json_dict()
+    payload = classify(z, zp, zm).to_json_dict()
     keys = ("p", "q", "eps_p", "eps_q", "status")
     lines = [f"{key} = {payload[key]}" for key in keys]
     lines.extend(f"note: {n}" for n in payload["notes"])

@@ -37,3 +37,11 @@ def loads(text: str, what: str):
         return json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:
         raise InputError(f"{what}: {exc}") from exc
+
+
+def json_int(value, field: str) -> int:
+    """A JSON integer; a bool or a float is an InputError naming the field.
+    A string still goes through ``int()``."""
+    if isinstance(value, (bool, float)):
+        raise InputError(f"{field} must be an integer, not {value!r}")
+    return int(value)

@@ -25,7 +25,7 @@ import re
 from typing import TYPE_CHECKING, Iterator, Mapping
 
 from ._value import frozen
-from .errors import InputError, RingBoundError
+from .errors import InputError, RingBoundError, json_int
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -458,9 +458,11 @@ class ZetaSeries:
     @staticmethod
     def from_json_dict(data: dict) -> "ZetaSeries":
         try:
-            order = data["order"]
-            terms = data["terms"]
-            coeffs = {int(t["n"]): parse_poly(t["coeff"]) for t in terms}
+            order = json_int(data["order"], "bad series document: order")
+            coeffs = {
+                json_int(t["n"], "bad series document: n"): parse_poly(t["coeff"])
+                for t in data["terms"]
+            }
             return ZetaSeries(order, coeffs)
         except InputError:
             raise

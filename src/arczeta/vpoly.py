@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Union
 
 from ._value import frozen
-from .errors import InputError, RingBoundError, loads
+from .errors import InputError, RingBoundError, json_int, loads
 from .ring import ONE, ZERO, LaurentPoly, check_span, format_poly, parse_poly
 
 # ---------------------------------------------------------------------------
@@ -382,7 +382,7 @@ def atom_from_json(obj: dict) -> Atom:
     (key, value), = obj.items()
     if key in _ATOM_KEYS:
         try:
-            return _ATOM_KEYS[key](int(value))
+            return _ATOM_KEYS[key](json_int(value, f"{key} size"))
         except (TypeError, ValueError, OverflowError) as exc:
             raise InputError(f"bad {key} atom {value!r}: {exc}") from exc
     if key == "custom":
@@ -392,7 +392,7 @@ def atom_from_json(obj: dict) -> Atom:
             return Custom(
                 name=value["name"],
                 beta=parse_poly(value["beta"]),
-                dim=int(value["dim"]),
+                dim=json_int(value["dim"], "custom atom dim"),
             )
         except InputError:
             raise

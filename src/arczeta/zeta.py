@@ -18,11 +18,13 @@ of its tie sets into the same kind of rational function.
 
 from __future__ import annotations
 
+import functools
 import math
 
 from ._value import frozen
-from .errors import InputError, loads
+from .errors import InputError, json_int, loads
 from .jets import (
+    DiagonalGerm,
     Germ,
     MonomialGerm,
     _monomial_condition,
@@ -123,8 +125,8 @@ def resolution_from_json(data: dict | str) -> ResolutionDatum:
         components = tuple(
             Component(
                 id=_required(c, "id", f"component {i}"),
-                N=int(_required(c, "N", f"component {i}")),
-                nu=int(_required(c, "nu", f"component {i}")),
+                N=json_int(_required(c, "N", f"component {i}"), f"component {i} N"),
+                nu=json_int(_required(c, "nu", f"component {i}"), f"component {i} nu"),
                 over_origin=bool(c.get("over_origin", True)),
             )
             for i, c in enumerate(_required(data, "components", "the top level"), 1)
@@ -139,7 +141,9 @@ def resolution_from_json(data: dict | str) -> ResolutionDatum:
             for i, s in enumerate(data.get("strata", []), 1)
         )
         datum = ResolutionDatum(
-            dimension=int(_required(data, "dimension", "the top level")),
+            dimension=json_int(
+                _required(data, "dimension", "the top level"), "dimension"
+            ),
             components=components,
             strata=strata,
         )
@@ -272,11 +276,28 @@ class InvariantTriple:
 
 
 def germ_invariants(g: Germ, order: int) -> InvariantTriple:
-    return InvariantTriple(
-        naive=zeta_direct(g, order, "naive"),
-        plus=zeta_direct(g, order, "plus"),
-        minus=zeta_direct(g, order, "minus"),
-    )
+    """The naive, plus and minus series of g up to the given order.
+
+    -g has the naive series of g with the two sign series swapped, so a
+    germ whose leading sign (the first term's, or the unit's) is negative
+    reads the triple of -g.  The last four triples are kept: classify reads
+    each of its two candidate germs under both leading signs, and a
+    ``--germ`` input is one of them.
+    """
+    if isinstance(g, MonomialGerm):
+        sign, negated = g.unit_sign, MonomialGerm(g.exponents, -g.unit_sign)
+    else:
+        sign, negated = g.terms[0][0], DiagonalGerm(tuple((-s, p) for s, p in g.terms))
+    if sign > 0:
+        return _kept_invariants(g, order)
+    inv = _kept_invariants(negated, order)
+    return InvariantTriple(naive=inv.naive, plus=inv.minus, minus=inv.plus)
+
+
+@functools.lru_cache(maxsize=4)
+def _kept_invariants(g: Germ, order: int) -> InvariantTriple:
+    variants = ("naive", "plus", "minus")
+    return InvariantTriple(*(zeta_direct(g, order, v) for v in variants))
 
 
 @frozen

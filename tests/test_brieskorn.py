@@ -7,6 +7,7 @@ import pytest
 from arczeta import (
     ClassStatus,
     DiagonalGerm,
+    InvariantTriple,
     SignValue,
     classify,
     germ_invariants,
@@ -14,7 +15,9 @@ from arczeta import (
     recover_p,
     recover_q,
     recover_signs,
+    zeta_direct,
 )
+from arczeta import zeta
 from arczeta.brieskorn import NO_MATCHING_SIGN_NOTE
 from arczeta.errors import ClassifyError
 from arczeta.ring import ZetaSeries
@@ -203,3 +206,82 @@ class TestRoundTripSample:
             assert (got.p, got.q, got.eps_p, got.eps_q, got.status) == expected_class(
                 p, q, e1, e2
             )
+
+
+def _census_germs():
+    """The 144 germs e1*x^p + e2*y^q with 2 <= p <= q <= 9."""
+    return [
+        (e1, p, e2, q)
+        for p in range(2, 10)
+        for q in range(p, 10)
+        for e1, e2 in itertools.product((1, -1), repeat=2)
+    ]
+
+
+def _direct_triple(e1, p, e2, q, order):
+    germ = DiagonalGerm(terms=((e1, p), (e2, q)))
+    variants = ("naive", "plus", "minus")
+    return InvariantTriple(*(zeta_direct(germ, order, v) for v in variants))
+
+
+def _orbit(e1, p, e2, q):
+    """The germs the evident coordinate changes reach: x -> -x for odd p,
+    y -> -y for odd q, and x <-> y for p = q."""
+    orbit, todo = set(), [(e1, p, e2, q)]
+    while todo:
+        g = todo.pop()
+        if g in orbit:
+            continue
+        orbit.add(g)
+        a, p_, b, q_ = g
+        todo += [(-a, p_, b, q_)] if p_ % 2 else []
+        todo += [(a, p_, -b, q_)] if q_ % 2 else []
+        todo += [(b, p_, a, q_)] if p_ == q_ else []
+    return frozenset(orbit)
+
+
+class TestCensus:
+    def test_classes_are_the_symmetry_orbits(self):
+        # grouped by (Z, Z+, Z-) at order 300, the census splits into 77
+        # classes; the coordinate changes give 78 orbits, and the only two
+        # orbits that share a class are those of x^3 + y^6 and x^3 - y^6,
+        # classify's open case (p odd, q an even multiple of p)
+        classes = {}
+        for g in _census_germs():
+            e1, p, e2, q = g
+            inv = germ_invariants(DiagonalGerm(terms=((e1, p), (e2, q))), 300)
+            classes.setdefault(inv, set()).add(g)
+        orbits = {_orbit(*g) for g in _census_germs()}
+        assert (len(classes), len(orbits)) == (77, 78)
+        merged = _orbit(1, 3, 1, 6) | _orbit(1, 3, -1, 6)
+        expected = orbits - {_orbit(1, 3, 1, 6), _orbit(1, 3, -1, 6)} | {merged}
+        assert {frozenset(c) for c in classes.values()} == expected
+
+    def test_reports_do_not_depend_on_what_ran_before(self):
+        order = 20
+        triples = [_direct_triple(*g, order) for g in _census_germs()]
+        zeta._kept_invariants.cache_clear()
+        def report(t):
+            return classify(t.naive, t.plus, t.minus)
+
+        forward = [report(t) for t in triples]
+        backward = [report(t) for t in reversed(triples)]
+        assert forward == backward[::-1]
+        fresh = []
+        for t in triples:
+            zeta._kept_invariants.cache_clear()
+            fresh.append(report(t))
+        assert fresh == forward
+        # each germ, read after any other, gives the triple zeta_direct sums
+        for g in _census_germs()[::-1] + _census_germs():
+            e1, p, e2, q = g
+            inv = germ_invariants(DiagonalGerm(terms=((e1, p), (e2, q))), order)
+            assert inv == _direct_triple(*g, order), g
+
+    def test_no_germ_argument(self):
+        # the report is read from the three series alone
+        inv = _series("x^4-y^6")
+        with pytest.raises(TypeError):
+            classify(inv.naive, inv.plus, inv.minus, DiagonalGerm(((1, 4), (1, 6))))
+        report = classify(inv.naive, inv.plus, inv.minus)
+        assert (report.eps_p, report.eps_q) == (SignValue.PLUS, SignValue.MINUS)

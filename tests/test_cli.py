@@ -169,6 +169,23 @@ class TestZetaRes:
         assert (rc, out) == (1, "")
         assert err == f"error: bad resolution document: {where} has no {key!r} key\n"
 
+    @pytest.mark.parametrize("path, value, field", [
+        (("components", 0, "N"), 2.9, "component 1 N"),
+        (("components", 0, "nu"), True, "component 1 nu"),
+        (("dimension",), 2.0, "dimension"),
+    ], ids=["float-N", "bool-nu", "float-dimension"])
+    def test_non_integer_field_is_one_error_line(self, tmp_path, path, value, field):
+        doc = json.loads(json.dumps(RESOLUTION_X2_Y2))
+        holder = doc
+        for step in path[:-1]:
+            holder = holder[step]
+        holder[path[-1]] = value
+        target = tmp_path / "res.json"
+        target.write_text(json.dumps(doc))
+        rc, out, err = run_cli("zeta-res", "--file", str(target), timeout=5)
+        assert (rc, out) == (1, "")
+        assert err == f"error: {field} must be an integer, not {value!r}\n"
+
     @pytest.mark.parametrize("beta, message", [
         ("u^-3000000000", "u-exponent -3000000000 out of supported range"),
         ("u^1048576+1", "exceeds the bound of 1048576 coefficients"),
@@ -234,7 +251,11 @@ class TestBeta:
         json.dumps({"defs": [{"name": "A", "expr": {"atom": {"affine": -1}}}]}),
         '{"defs": [{"name": "A", "expr": ' + '{"union": [' * 3000
         + '{"atom": {"affine": 1}}' + ']}' * 3000 + '}]}',
-    ], ids=["non-integer", "negative", "deep"])
+        json.dumps({"defs": [{"name": "A", "expr": {"atom": {"affine": 2.5}}}]}),
+        json.dumps({"defs": [{"name": "A", "expr": {"atom": {"torus": True}}}]}),
+        json.dumps({"defs": [{"name": "A", "expr": {"atom": {"custom": {
+            "name": "C", "beta": "u", "dim": 1.5}}}}]}),
+    ], ids=["non-integer", "negative", "deep", "float", "bool", "float-dim"])
     def test_malformed_script_is_one_error_line(self, tmp_path, text):
         path = tmp_path / "bad.json"
         path.write_text(text)
@@ -340,6 +361,8 @@ class TestClassify:
     def test_each_germ_is_computed_once(self, germ, monkeypatch, capsys):
         from arczeta import brieskorn, jets, zeta
 
+        # triples kept from an earlier case would lower the count
+        zeta._kept_invariants.cache_clear()
         calls = []
         original = jets.zeta_direct
 
@@ -353,6 +376,31 @@ class TestClassify:
         assert "status = " in capsys.readouterr().out
         # the input's three series, the x^p reference, and the other
         # positive-first candidate's three
+        assert len(calls) == len(set(calls)) == 7
+
+    def test_series_files_are_computed_once(self, tmp_path, monkeypatch, capsys):
+        from arczeta import brieskorn, germ_invariants, jets, parse_germ, zeta
+
+        argv = ["classify"]
+        inv = germ_invariants(parse_germ("-x^4+y^6"), 64)
+        for name in ("naive", "plus", "minus"):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(getattr(inv, name).to_json_dict()))
+            argv += ["--series-file", str(path)]
+        zeta._kept_invariants.cache_clear()
+        calls = []
+        original = jets.zeta_direct
+
+        def counted(g, order, variant="naive"):
+            calls.append((g, order, variant))
+            return original(g, order, variant)
+
+        for module in (jets, zeta, brieskorn):
+            monkeypatch.setattr(module, "zeta_direct", counted)
+        assert main(argv) == 0
+        assert capsys.readouterr().out.splitlines()[:2] == ["p = 4", "q = 6"]
+        # the x^p reference and the three series of x^4+y^6 and of x^4-y^6;
+        # the two germs with a negative first term reuse them
         assert len(calls) == len(set(calls)) == 7
 
     def test_series_file_lists_do_not_carry_over(self, tmp_path, capsys):
@@ -386,7 +434,10 @@ class TestClassify:
     @pytest.mark.parametrize("document, message", [
         ({"order": 0, "terms": []}, "truncation order must be a positive integer"),
         ({"order": 8, "terms": [{"n": "x", "coeff": "u"}]}, "invalid literal"),
-    ], ids=["order-0", "non-integer-n"])
+        ({"order": 8, "terms": [{"n": 2.7, "coeff": "u"}]},
+         "n must be an integer, not 2.7"),
+        ({"order": True, "terms": []}, "order must be an integer, not True"),
+    ], ids=["order-0", "non-integer-n", "float-n", "bool-order"])
     def test_bad_series_document_is_one_error_line(self, tmp_path, document, message):
         path = tmp_path / "series.json"
         path.write_text(json.dumps(document))

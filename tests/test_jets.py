@@ -1,5 +1,8 @@
 """Jet-space decompositions, tie curves, and the direct zeta route."""
 
+import itertools
+from fractions import Fraction
+
 import pytest
 
 from arczeta import (
@@ -19,6 +22,7 @@ from arczeta import (
     zeta_term,
 )
 from arczeta.errors import InputError, UnsupportedComputationError
+from arczeta.jets import _level_set_beta
 from arczeta.ring import ONE, U, ZERO
 
 from conftest import brute_force_diagonal_jets, poly
@@ -148,6 +152,54 @@ class TestTieCurves:
                 if (a * a - b * b) % q == 1
             )
             assert pts == q - 1 == tie_curve_rule(2, 2, 1, -1, 1).beta.evaluate(q)
+
+
+def _fibre_count(q, e, t):
+    """Number of real b with e*b^q = t."""
+    if t == 0 or q % 2:
+        return 1
+    return 2 if e * t > 0 else 0
+
+
+def _cell_count_chi(p, q, e1, e2, c):
+    """chi_c of {e1*a^p + e2*b^q = c} by sweeping a.
+
+    The real roots of e1*a^p = c cut the a-line into open intervals.  Over
+    each interval the fibre is k points moving continuously (k is fixed by
+    the sign of c - e1*a^p), a union of k open arcs with chi_c = -k; over
+    each root the fibre is the single point b = 0.
+    """
+    if c == 0:
+        roots = [0]
+    elif p % 2:
+        roots = [e1 * c]
+    else:
+        roots = [-1, 1] if e1 * c > 0 else []
+    cuts = [Fraction(r) for r in roots]
+    samples = [cuts[0] - 1, *((a + b) / 2 for a, b in zip(cuts, cuts[1:])),
+               cuts[-1] + 1] if cuts else [Fraction(0)]
+    return len(cuts) - sum(_fibre_count(q, e2, c - e1 * a**p) for a in samples)
+
+
+class TestEulerShadow:
+    # beta at u = -1 is the Euler characteristic with compact supports, which
+    # the elementary cell count gives without the rule table
+    def test_tie_curve_rules_at_minus_one(self):
+        cases = list(itertools.product(
+            range(1, 13), range(1, 13), (1, -1), (1, -1), (0, 1, -1)))
+        assert len(cases) == 1728
+        for p, q, e1, e2, c in cases:
+            rule = tie_curve_rule(p, q, e1, e2, c)
+            assert rule.beta.evaluate(-1) == _cell_count_chi(p, q, e1, e2, c), (
+                p, q, e1, e2, c)
+
+    @pytest.mark.parametrize("exps", [(2, 2, 2), (2, 4, 6), (4, 4, 8)])
+    def test_definite_three_term_sets(self, exps):
+        # a sphere (chi_c 2), the origin (1), or empty (0)
+        for sign, level in itertools.product((1, -1), (0, 1, -1)):
+            terms = [(sign, e) for e in exps]
+            expected = 1 if level == 0 else 2 if level == sign else 0
+            assert _level_set_beta(terms, level, 1).evaluate(-1) == expected
 
 
 class TestStrata:

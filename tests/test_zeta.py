@@ -1,5 +1,6 @@
 """Resolution-data evaluation, closed forms, convolution, comparison."""
 
+import itertools
 import math
 import tracemalloc
 
@@ -9,6 +10,7 @@ from arczeta import (
     Component,
     DiagonalGerm,
     Distinguished,
+    MonomialGerm,
     NotDistinguished,
     ResolutionDatum,
     UnsupportedGermError,
@@ -362,3 +364,56 @@ class TestCompare:
         right = germ_invariants(parse_germ("x^2"), 12)
         with pytest.raises(ValueError):
             compare_invariants(left, right)
+
+
+def _negation_cases():
+    """Every diagonal germ in one to three variables with exponents 1..6
+    and every sign pattern, and every two-variable monomial with exponents
+    0..3 and either unit sign, each with its negation."""
+    cases = []
+    for d in (1, 2, 3):
+        for exps in itertools.combinations_with_replacement(range(1, 7), d):
+            for signs in itertools.product((1, -1), repeat=d):
+                cases.append((
+                    DiagonalGerm(tuple(zip(signs, exps))),
+                    DiagonalGerm(tuple(zip((-s for s in signs), exps))),
+                ))
+    for exps in itertools.product(range(4), repeat=2):
+        if any(exps):
+            for sign in (1, -1):
+                cases.append((MonomialGerm(exps, sign), MonomialGerm(exps, -sign)))
+    return cases
+
+
+class TestNegation:
+    def test_negation_swaps_the_sign_series(self):
+        # computed by the sweep itself: -g has the naive series of g, and
+        # its plus and minus series are those of g exchanged
+        swap = {"naive": "naive", "plus": "minus", "minus": "plus"}
+        checked = 0
+        for g, negated in _negation_cases():
+            try:
+                series = {v: zeta_direct(g, 40, v) for v in swap}
+            except UnsupportedGermError as exc:
+                with pytest.raises(UnsupportedGermError) as neg_exc:
+                    zeta_direct(negated, 40, "naive")
+                assert neg_exc.value.n == exc.n
+                continue
+            for v, w in swap.items():
+                assert zeta_direct(negated, 40, v) == series[w], (g, v)
+            checked += 1
+        assert checked == 162
+
+    def test_germ_invariants_reads_the_negation(self):
+        g, negated = parse_germ("x^4-y^6"), parse_germ("-x^4+y^6")
+        inv, neg = germ_invariants(g, 24), germ_invariants(negated, 24)
+        assert (neg.naive, neg.plus, neg.minus) == (inv.naive, inv.minus, inv.plus)
+        assert neg.plus == zeta_direct(negated, 24, "plus")
+
+    def test_kept_triples_are_bounded(self):
+        from arczeta import zeta
+
+        for order in range(1, 40):
+            germ_invariants(parse_germ("x^2+y^3"), order)
+        info = zeta._kept_invariants.cache_info()
+        assert info.currsize <= info.maxsize == 4
