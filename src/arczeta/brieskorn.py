@@ -18,9 +18,10 @@ undetermined when they disagree.  So every reported class has been checked
 against the input, which is the three series alone, and a triple that no
 pair rebuilds is reported as inconsistent.  Replacing x by -x flips the
 sign of an odd power without moving the germ, so an odd exponent never
-determines its sign.  The one genuinely open case is p odd with q an even
-multiple of p, where whether the sign of the second term moves the class
-is not known.
+determines its sign; :func:`zeta.germ_invariants` reads both such germs
+from one computed triple.  The one genuinely open case is p odd with q an
+even multiple of p, where whether the sign of the second term moves the
+class is not known.
 """
 
 from __future__ import annotations

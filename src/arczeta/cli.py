@@ -33,6 +33,14 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise InputError(message)
 
+    # argparse drops an attached value of exactly "--" (--germ=--) and
+    # stores an empty list; it is a missing value, as in "--germ --"
+    def _get_values(self, action, arg_strings):
+        if action.option_strings and action.nargs is None and arg_strings == ["--"]:
+            self.error(f"argument {'/'.join(action.option_strings)}: "
+                       "expected one argument")
+        return super()._get_values(action, arg_strings)
+
 
 def _add_common(p: argparse.ArgumentParser, *, sign: bool = False):
     p.add_argument("--order", type=int, default=DEFAULT_ORDER,

@@ -278,26 +278,47 @@ class InvariantTriple:
 def germ_invariants(g: Germ, order: int) -> InvariantTriple:
     """The naive, plus and minus series of g up to the given order.
 
-    -g has the naive series of g with the two sign series swapped, so a
-    germ whose leading sign (the first term's, or the unit's) is negative
-    reads the triple of -g.  The last four triples are kept: classify reads
-    each of its two candidate germs under both leading signs, and a
-    ``--germ`` input is one of them.
+    The series are blow-Nash invariants, so g is first moved to one
+    representative of its class under three symmetries: x_i -> -x_i makes
+    the sign of every odd power +, swapping variables of equal exponent puts
+    + before -, and of g and -g the one with the larger sign tuple is kept.
+    -g has the naive series of g with the two sign series swapped, so a germ
+    whose representative is that of -g reads the triple of -g swapped.  The
+    last four triples are kept: classify reads each of its candidate germs,
+    and a ``--germ`` input is one of them.
     """
+    rep, swapped = _representative(g)
+    inv = _kept_invariants(rep, order)
+    return InvariantTriple(inv.naive, inv.minus, inv.plus) if swapped else inv
+
+
+def _representative(g: Germ) -> tuple[Germ, bool]:
+    """The germ of g's class that g reads, and whether it is that of -g."""
+    rep, neg = _moved(g, 1), _moved(g, -1)
     if isinstance(g, MonomialGerm):
-        sign, negated = g.unit_sign, MonomialGerm(g.exponents, -g.unit_sign)
+        swapped = neg.unit_sign > rep.unit_sign
     else:
-        sign, negated = g.terms[0][0], DiagonalGerm(tuple((-s, p) for s, p in g.terms))
-    if sign > 0:
-        return _kept_invariants(g, order)
-    inv = _kept_invariants(negated, order)
-    return InvariantTriple(naive=inv.naive, plus=inv.minus, minus=inv.plus)
+        swapped = neg.signs > rep.signs
+    return (neg, True) if swapped else (rep, False)
+
+
+def _moved(g: Germ, sign: int) -> Germ:
+    """sign*g with every odd power's sign + and, per exponent, + before -."""
+    if isinstance(g, MonomialGerm):
+        odd = any(e % 2 for e in g.exponents)
+        return MonomialGerm(g.exponents, 1 if odd else sign * g.unit_sign)
+    terms = ((1 if p % 2 else sign * s, p) for s, p in g.terms)
+    return DiagonalGerm(tuple(sorted(terms, key=lambda t: (t[1], -t[0]))))
 
 
 @functools.lru_cache(maxsize=4)
 def _kept_invariants(g: Germ, order: int) -> InvariantTriple:
-    variants = ("naive", "plus", "minus")
-    return InvariantTriple(*(zeta_direct(g, order, v) for v in variants))
+    """The triple of a representative; when -g has the same representative,
+    its minus series is its plus series, the same object, swept once."""
+    naive, plus = (zeta_direct(g, order, v) for v in ("naive", "plus"))
+    if _moved(g, -1) == g:
+        return InvariantTriple(naive, plus, plus)
+    return InvariantTriple(naive, plus, zeta_direct(g, order, "minus"))
 
 
 @frozen

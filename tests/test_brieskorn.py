@@ -118,9 +118,10 @@ class TestClassify:
             assert (report.eps_p, report.eps_q) == (SignValue.PLUS, SignValue.MINUS)
 
     def test_flip_of_odd_variable_is_invisible(self):
+        # direct sweeps: germ_invariants reads both germs from one triple
         for p, q, e2 in [(3, 4, 1), (3, 5, -1), (5, 6, 1)]:
-            a = germ_invariants(DiagonalGerm(terms=((1, p), (e2, q))), 2 * q + 2)
-            b = germ_invariants(DiagonalGerm(terms=((-1, p), (e2, q))), 2 * q + 2)
+            a = _direct_triple(1, p, e2, q, 2 * q + 2)
+            b = _direct_triple(-1, p, e2, q, 2 * q + 2)
             ca = classify(a.naive, a.plus, a.minus)
             cb = classify(b.naive, b.plus, b.minus)
             assert (ca.p, ca.q, ca.eps_p, ca.eps_q, ca.status) == (
@@ -245,12 +246,11 @@ class TestCensus:
         # grouped by (Z, Z+, Z-) at order 300, the census splits into 77
         # classes; the coordinate changes give 78 orbits, and the only two
         # orbits that share a class are those of x^3 + y^6 and x^3 - y^6,
-        # classify's open case (p odd, q an even multiple of p)
+        # classify's open case (p odd, q an even multiple of p); the triples
+        # are direct sweeps, as germ_invariants reads an orbit from one
         classes = {}
         for g in _census_germs():
-            e1, p, e2, q = g
-            inv = germ_invariants(DiagonalGerm(terms=((e1, p), (e2, q))), 300)
-            classes.setdefault(inv, set()).add(g)
+            classes.setdefault(_direct_triple(*g, 300), set()).add(g)
         orbits = {_orbit(*g) for g in _census_germs()}
         assert (len(classes), len(orbits)) == (77, 78)
         merged = _orbit(1, 3, 1, 6) | _orbit(1, 3, -1, 6)

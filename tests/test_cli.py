@@ -286,6 +286,24 @@ class TestBeta:
         assert outputs[1].out == "P = u\nW_minus_L = u^2-u\nW = u^2\n"
 
 
+def _count_sweeps(monkeypatch):
+    """The zeta_direct calls made from now on, on a fresh triple cache."""
+    from arczeta import brieskorn, jets, zeta
+
+    # triples kept from an earlier call would lower the count
+    zeta._kept_invariants.cache_clear()
+    calls = []
+    original = jets.zeta_direct
+
+    def counted(g, order, variant="naive"):
+        calls.append((g, order, variant))
+        return original(g, order, variant)
+
+    for module in (jets, zeta, brieskorn):
+        monkeypatch.setattr(module, "zeta_direct", counted)
+    return calls
+
+
 class TestClassify:
     def test_open_case_report(self):
         rc, out, _ = run_cli("classify", "--germ", "x^3+y^6", "--format", "json")
@@ -355,31 +373,29 @@ class TestClassify:
             "status = inconsistent",
         ]
 
-    @pytest.mark.parametrize(
-        "germ", ["x^4-y^6", "x^4+y^6", "-x^4+y^6", "-x^4-y^6", "x^6-y^4", "-x^4+y^4"]
-    )
-    def test_each_germ_is_computed_once(self, germ, monkeypatch, capsys):
-        from arczeta import brieskorn, jets, zeta
-
-        # triples kept from an earlier case would lower the count
-        zeta._kept_invariants.cache_clear()
-        calls = []
-        original = jets.zeta_direct
-
-        def counted(g, order, variant="naive"):
-            calls.append((g, order, variant))
-            return original(g, order, variant)
-
-        for module in (jets, zeta, brieskorn):
-            monkeypatch.setattr(module, "zeta_direct", counted)
+    @pytest.mark.parametrize("germ, sweeps", [
+        pytest.param(germ, sweeps, id=germ) for germ, sweeps in (
+            # the input's three series, the x^p reference, and the other
+            # representative's three
+            ("x^4-y^6", 7), ("x^4+y^6", 7), ("-x^4+y^6", 7), ("-x^4-y^6", 7),
+            ("x^6-y^4", 7),
+            # p = q even: x <-> y maps x^p - y^p to its negation, so its
+            # two sign series are one
+            ("-x^4+y^4", 6), ("x^2-y^2", 6),
+            # one odd exponent: x -> -x or y -> -y leaves two representatives
+            ("x^2+y^5", 4), ("x^3-y^8", 4), ("x^3+y^6", 4),
+            # both odd: one representative, its Z- read as its Z+
+            ("x^5+y^9", 3), ("x^7+y^7", 3),
+        )
+    ])
+    def test_each_germ_is_computed_once(self, germ, sweeps, monkeypatch, capsys):
+        calls = _count_sweeps(monkeypatch)
         assert main(["classify", f"--germ={germ}"]) == 0
         assert "status = " in capsys.readouterr().out
-        # the input's three series, the x^p reference, and the other
-        # positive-first candidate's three
-        assert len(calls) == len(set(calls)) == 7
+        assert len(calls) == len(set(calls)) == sweeps
 
     def test_series_files_are_computed_once(self, tmp_path, monkeypatch, capsys):
-        from arczeta import brieskorn, germ_invariants, jets, parse_germ, zeta
+        from arczeta import germ_invariants, parse_germ
 
         argv = ["classify"]
         inv = germ_invariants(parse_germ("-x^4+y^6"), 64)
@@ -387,16 +403,7 @@ class TestClassify:
             path = tmp_path / f"{name}.json"
             path.write_text(json.dumps(getattr(inv, name).to_json_dict()))
             argv += ["--series-file", str(path)]
-        zeta._kept_invariants.cache_clear()
-        calls = []
-        original = jets.zeta_direct
-
-        def counted(g, order, variant="naive"):
-            calls.append((g, order, variant))
-            return original(g, order, variant)
-
-        for module in (jets, zeta, brieskorn):
-            monkeypatch.setattr(module, "zeta_direct", counted)
+        calls = _count_sweeps(monkeypatch)
         assert main(argv) == 0
         assert capsys.readouterr().out.splitlines()[:2] == ["p = 4", "q = 6"]
         # the x^p reference and the three series of x^4+y^6 and of x^4-y^6;
@@ -515,6 +522,18 @@ class TestCompare:
             "right_coeff": "1-u^-1",
         }
 
+    @pytest.mark.parametrize("left, right, sweeps", [
+        # y -> -y maps one germ to the other, and each to its negation
+        ("x^3+y^5", "x^3-y^5", 2),
+        ("x^2+y^4", "x^2-y^4", 6),
+    ])
+    def test_each_class_is_computed_once(self, left, right, sweeps, monkeypatch,
+                                         capsys):
+        calls = _count_sweeps(monkeypatch)
+        assert main(["compare", f"--left={left}", f"--right={right}"]) == 0
+        assert capsys.readouterr().err == ""
+        assert len(calls) == len(set(calls)) == sweeps
+
     def test_not_distinguished(self):
         rc, out, _ = run_cli(
             "compare", "--left", "x^3+y^4", "--right", "x^3+y^4", "--order", "12"
@@ -603,6 +622,57 @@ def test_out_of_memory_is_one_line_and_exit_2(argv):
     )
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr == "unsupported: out of memory; choose a smaller --order\n"
+
+
+# -- an option value of exactly "--" -------------------------------------------
+
+@pytest.mark.parametrize("argv, option", [
+    (["zeta-germ", "--germ=--"], "--germ"),
+    (["zeta-res", "--file=--"], "--file"),
+    (["beta", "--script=--"], "--script"),
+    (["compare", "--left=--", "--right=x^2"], "--left"),
+    (["oracle", "--germ=x^2", "--n", "2", "--q=--"], "--q"),
+    (["classify", *["--series-file=--"] * 3], "--series-file"),
+    (["classify", "--germ=--"], "--germ"),
+    (["zeta-germ", "--germ=x^2", "--out=--"], "--out"),
+    (["zeta-germ", "--germ"], "--germ"),
+])
+def test_double_dash_value_is_a_missing_value(argv, option, capsys):
+    # argparse drops an attached "--" and would store an empty list
+    assert main(argv) == 1
+    assert capsys.readouterr() == (
+        "", f"error: argument {option}: expected one argument\n")
+
+
+# -- germ strings and option values through main ---------------------------------
+
+FUZZ_TEXT = st.just("--") | st.text(alphabet="xyz^+-*0123456789 ", max_size=12)
+FUZZ_CALLS = {
+    "zeta-germ": lambda left, right: ["zeta-germ", f"--germ={left}", "--order=12"],
+    "classify": lambda left, right: ["classify", f"--germ={left}", "--order=16"],
+    "compare": lambda left, right: ["compare", f"--left={left}", f"--right={right}",
+                                    "--order=8"],
+    "oracle": lambda left, right: ["oracle", f"--germ={left}", "--n", "2",
+                                   "--q", "3"],
+}
+
+
+@settings(max_examples=200, deadline=3000,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(command=st.sampled_from(sorted(FUZZ_CALLS)), left=FUZZ_TEXT, right=FUZZ_TEXT,
+       fmt=st.sampled_from(["text", "json", "--"]))
+@example(command="zeta-germ", left="--", right="x^2", fmt="text")
+@example(command="zeta-germ", left="x^2", right="x^2", fmt="--")
+def test_fuzzed_calls_end_in_output_or_one_error_line(command, left, right, fmt,
+                                                      capsys):
+    code = main([*FUZZ_CALLS[command](left, right), f"--format={fmt}"])
+    out, err = capsys.readouterr()
+    assert code in (0, 1, 2, 3)
+    if code in (1, 2):
+        assert out == "" and err.endswith("\n") and err.count("\n") == 1
+    else:
+        # exit 3 is an oracle verdict, printed on stdout with the rows
+        assert err == "" and ("FAIL" in out) == (code == 3)
 
 
 # -- the JSON readers on random small documents --------------------------------

@@ -417,3 +417,84 @@ class TestNegation:
             germ_invariants(parse_germ("x^2+y^3"), order)
         info = zeta._kept_invariants.cache_info()
         assert info.currsize <= info.maxsize == 4
+
+
+def _reflection_cases():
+    """The germs of :func:`_negation_cases`, and every three-variable
+    monomial with exponents 0..3 and either unit sign."""
+    germs = [g for g, _ in _negation_cases()]
+    for exps in itertools.product(range(4), repeat=3):
+        if any(exps):
+            germs += [MonomialGerm(exps, 1), MonomialGerm(exps, -1)]
+    return germs
+
+
+def _sweeps(g, order=40):
+    """The three series zeta_direct sums for g, or the .n it raises with."""
+    try:
+        return {v: zeta_direct(g, order, v) for v in ("naive", "plus", "minus")}
+    except UnsupportedGermError as exc:
+        return exc.n
+
+
+class TestReflection:
+    def test_sweep_agrees_with_the_representative(self):
+        # computed by zeta_direct itself: the representative germ_invariants
+        # reads has the series of g, plus and minus exchanged when it is
+        # that of -g, and Z+ == Z- wherever g and -g share it
+        from arczeta import zeta
+
+        checked, unforced = 0, set()
+        for g in _reflection_cases():
+            rep, swapped = zeta._representative(g)
+            series, expected = _sweeps(rep), _sweeps(g)
+            if isinstance(expected, int):
+                assert series == expected, g
+                continue
+            if swapped:
+                expected = {**expected, "plus": expected["minus"],
+                            "minus": expected["plus"]}
+            assert series == expected, g
+            if zeta._moved(g, 1) == zeta._moved(g, -1):
+                assert series["plus"] == series["minus"], g
+            elif series["plus"] == series["minus"]:
+                unforced.add(g.exponents)
+            checked += 1
+        assert checked == 288
+        # a term x^1 makes the germ a coordinate, and x^3 +- y^6 is
+        # classify's open case: there Z+ = Z- with no symmetry forcing it
+        assert unforced == {(1, 2), (1, 4), (1, 6), (3, 6)}
+
+    @pytest.mark.parametrize("text, symmetric", [
+        ("x^3+y^5", True), ("-x^2+y^2", True), ("x^2*y^3", True),
+        ("x^2+y^4", False), ("-x^2*y^2", False), ("x^3-y^6", False),
+    ])
+    def test_a_sign_series_is_swept_once_when_g_and_minus_g_share_it(
+            self, text, symmetric):
+        inv = germ_invariants(parse_germ(text), 24)
+        assert (inv.minus is inv.plus) == symmetric
+
+    def test_a_class_shares_one_kept_triple(self):
+        from arczeta import zeta
+
+        zeta._kept_invariants.cache_clear()
+        for text in ("x^3+y^5", "x^3-y^5", "-x^3+y^5", "-x^3-y^5"):
+            germ_invariants(parse_germ(text), 24)
+        info = zeta._kept_invariants.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 3, 1)
+
+    @pytest.mark.parametrize("order", [104, 112, 120])
+    def test_the_shared_triple_holds_at_high_order(self, order):
+        # x^3 +- y^5 read one kept triple, so a check built on germ_invariants
+        # cannot tell them apart; the per-germ sweeps can, at the orders a
+        # deep compare call runs at
+        from arczeta import zeta
+
+        zeta._kept_invariants.cache_clear()
+        left, right = parse_germ("x^3+y^5"), parse_germ("x^3-y^5")
+        swept = _sweeps(left, order)
+        assert swept == _sweeps(right, order)
+        assert swept["plus"] == swept["minus"]
+        for g in (left, right):
+            inv = germ_invariants(g, order)
+            assert (inv.naive, inv.plus, inv.minus) == tuple(swept.values())
