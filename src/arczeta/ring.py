@@ -22,6 +22,7 @@ function, so they are safe to share between threads.
 from __future__ import annotations
 
 import re
+import sys
 from typing import TYPE_CHECKING, Iterator, Mapping
 
 from ._value import frozen
@@ -289,25 +290,45 @@ U = LaurentPoly.u_power(1)
 
 def format_poly(p: LaurentPoly) -> str:
     """Canonical text form: terms in decreasing exponent, e.g. ``u^2-1``."""
-    cs, low = p._coeffs, p._low
+    return _format_terms(p._coeffs, p._low)
+
+
+def _format_terms(cs: tuple[int, ...], low: int) -> str:
+    """Text of u^low * (cs[0] + cs[1]*u + ...), one f-string per nonzero term.
+
+    A negative int prints its own sign, so only a positive term adds one.  A
+    coefficient longer than Python's int-to-str digit limit raises
+    RingBoundError: sums of betas are not bounded before they are printed.
+    """
     if not cs:
         return "0"
     parts: list[str] = []
-    for i in range(len(cs) - 1, -1, -1):
-        c = cs[i]
-        if not c:
-            continue
-        e = low + i
-        sign = "-" if c < 0 else "+"
-        mag = abs(c)
-        if e == 0:
-            body = str(mag)
-        else:
-            upart = "u" if e == 1 else f"u^{e}"
-            body = upart if mag == 1 else f"{mag}*{upart}"
-        parts.append(sign + body)
+    append = parts.append
+    try:
+        for i in range(len(cs) - 1, -1, -1):
+            c = cs[i]
+            if not c:
+                continue
+            e = low + i
+            if e != 0 and e != 1:
+                if c > 0:
+                    append(f"+u^{e}" if c == 1 else f"+{c}*u^{e}")
+                else:
+                    append(f"-u^{e}" if c == -1 else f"{c}*u^{e}")
+            elif e:
+                if c > 0:
+                    append("+u" if c == 1 else f"+{c}*u")
+                else:
+                    append("-u" if c == -1 else f"{c}*u")
+            else:
+                append(f"+{c}" if c > 0 else f"{c}")
+    except ValueError:
+        raise RingBoundError(
+            f"a coefficient of more than {sys.get_int_max_str_digits()} digits "
+            "cannot be printed"
+        ) from None
     out = "".join(parts)
-    return out[1:] if out.startswith("+") else out
+    return out[1:] if out[0] == "+" else out
 
 
 # one term is [sign][digits][*]u^[exponent] with digits or u present; the
@@ -450,8 +471,8 @@ class ZetaSeries:
         return {
             "order": self._order,
             "terms": [
-                {"n": n, "coeff": format_poly(self._coeffs[n])}
-                for n in sorted(self._coeffs)
+                {"n": n, "coeff": _format_terms(c._coeffs, c._low)}
+                for n, c in sorted(self._coeffs.items())
             ],
         }
 
@@ -479,15 +500,16 @@ def format_series(z: ZetaSeries) -> str:
     if z.is_zero():
         return "0"
     parts = []
-    for n in z.support():
-        c = z.coeff(n)
-        low = c.low_degree
-        body = f"({format_poly(c.shift(-low))})"
-        if low == 1:
-            body += "*u"
-        elif low != 0:
-            body += f"*u^{low}"
-        parts.append(f"{body}*T^{n}")
+    append = parts.append
+    for n, c in sorted(z._coeffs.items()):
+        low = c._low
+        body = _format_terms(c._coeffs, 0)
+        if low == 0:
+            append(f"({body})*T^{n}")
+        elif low == 1:
+            append(f"({body})*u*T^{n}")
+        else:
+            append(f"({body})*u^{low}*T^{n}")
     return " + ".join(parts)
 
 

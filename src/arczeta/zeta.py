@@ -280,8 +280,9 @@ def germ_invariants(g: Germ, order: int) -> InvariantTriple:
 
     The series are blow-Nash invariants, so g is first moved to one
     representative of its class under three symmetries: x_i -> -x_i makes
-    the sign of every odd power +, swapping variables of equal exponent puts
-    + before -, and of g and -g the one with the larger sign tuple is kept.
+    the sign of every odd power +, permuting variables sorts a monomial's
+    exponents and puts + before - among a diagonal germ's equal exponents,
+    and of g and -g the one with the larger sign tuple is kept.
     -g has the naive series of g with the two sign series swapped, so a germ
     whose representative is that of -g reads the triple of -g swapped.  The
     last four triples are kept: classify reads each of its candidate germs,
@@ -303,10 +304,11 @@ def _representative(g: Germ) -> tuple[Germ, bool]:
 
 
 def _moved(g: Germ, sign: int) -> Germ:
-    """sign*g with every odd power's sign + and, per exponent, + before -."""
+    """sign*g with every odd power's sign +, a monomial's exponents sorted
+    and, per exponent of a diagonal germ, + before -."""
     if isinstance(g, MonomialGerm):
-        odd = any(e % 2 for e in g.exponents)
-        return MonomialGerm(g.exponents, 1 if odd else sign * g.unit_sign)
+        exps = tuple(sorted(g.exponents))
+        return MonomialGerm(exps, 1 if any(e % 2 for e in exps) else sign * g.unit_sign)
     terms = ((1 if p % 2 else sign * s, p) for s, p in g.terms)
     return DiagonalGerm(tuple(sorted(terms, key=lambda t: (t[1], -t[0]))))
 

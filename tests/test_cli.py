@@ -40,6 +40,9 @@ WHITNEY = {
     ]
 }
 
+# a constant beta of 4300 digits, the most Python prints by default
+_LONG_BETA = {"atom": {"custom": {"name": "B", "beta": "9" * 4300, "dim": 0}}}
+
 
 def run_cli(*args, timeout=None):
     proc = subprocess.run(
@@ -245,6 +248,25 @@ class TestBeta:
         assert rc == 2 and out == ""
         assert err.startswith("unsupported: ") and "work bound" in err
         assert "Traceback" not in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("defn", [
+        {"name": "S", "expr": {"union": [_LONG_BETA, _LONG_BETA]}},
+        {"name": "S", "expr": {"difference": [_LONG_BETA, {"atom": {"custom": {
+            "name": "N", "beta": "-" + "9" * 4300, "dim": 0}}}]}},
+        {"name": "S", "blowup": {"Bl": _LONG_BETA, "X": {"atom": {"points": 1}},
+                                 "C": _LONG_BETA, "solve_for": "E"}},
+    ], ids=["union", "difference", "blowup"])
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_sum_beyond_printable_coefficients_is_one_line(self, tmp_path, capsys,
+                                                           defn, fmt):
+        # each summand prints, but their sum has 4301 digits
+        path = tmp_path / "sum.json"
+        path.write_text(json.dumps({"defs": [defn]}))
+        assert main(["beta", "--script", str(path), "--format", fmt]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("unsupported: a coefficient of more than 4300 digits "
+                       "cannot be printed\n")
 
     @pytest.mark.parametrize("text", [
         json.dumps({"defs": [{"name": "A", "expr": {"atom": {"affine": "x"}}}]}),
@@ -526,6 +548,9 @@ class TestCompare:
         # y -> -y maps one germ to the other, and each to its negation
         ("x^3+y^5", "x^3-y^5", 2),
         ("x^2+y^4", "x^2-y^4", 6),
+        # permuting a monomial's variables: one kept triple for both sides
+        ("x^2*y^3", "x^3*y^2", 2),
+        ("x^2*y^4", "x^4*y^2", 3),
     ])
     def test_each_class_is_computed_once(self, left, right, sweeps, monkeypatch,
                                          capsys):

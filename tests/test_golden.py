@@ -12,6 +12,7 @@ To record the file again after a deliberate output change, run
 
 import contextlib
 import functools
+import hashlib
 import io
 import json
 import pathlib
@@ -123,6 +124,34 @@ def test_one_parser_serves_every_call_in_any_order(monkeypatch):
     for argv in corpus() + corpus()[::-1]:
         assert _call(argv) == _load()[_key(argv)], argv
     assert cli.build_parser.cache_info().misses == 1
+
+
+# sha256 of stdout at orders past the recorded corpus, where coefficients
+# have hundreds of terms; recorded before the one-pass term writer
+DEEP = {
+    ("zeta-germ", "--germ=x^3-y^7", "--order", "512"): (
+        "94079af6fd32c828add2855184eee580c01d80afc614a2868af92d2067651944",
+        "e25f445309d24d91596e09da39e2c7c0f5a057038ea39ea8872c9796145636d0"),
+    ("zeta-germ", "--germ=-x^3*y^4*z^5", "--order", "160", "--sign", "minus"): (
+        "4c361562f53f01208ee6d6fa301e9797a4cf2a38d70171349f84fc9f751866ea",
+        "4c2ad27b3d4931cb9c269a0b1ef83ea095b0be3f72c4454170050628bc94a787"),
+    ("zeta-res", "--file", "sample_data/resolution_x2_y4.json", "--order", "2048",
+     "--sign", "plus"): (
+        "ebeffc4e5877648f046f6d36512005f3f8e4ac288feb15628728c3f35d6a5d1b",
+        "64f08fba4d7364f9553a9541235853c252111372ef0b69aeaa29a9af5b9c8d7b"),
+    ("ts", "--left", "x^2", "--right", "x^4", "--order", "448"): (
+        "27443bb6f29df87de69c0843b97b6d970075ed67ce11f9090ad955bd8b570283",
+        "7a8a8432427ff6fd4bb9b6154d4532efd578f679299789fcf019ae12357a0931"),
+}
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("argv", list(DEEP), ids=_key)
+def test_deep_order_output_is_byte_identical(argv, fmt, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    code, out, err = _call(list(argv) + ["--format", fmt])
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == DEEP[argv][FORMATS.index(fmt)]
 
 
 def _record() -> dict:

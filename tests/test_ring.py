@@ -175,6 +175,82 @@ class TestParseGrammar:
         assert _outcome(parse_poly, text) == _outcome(_split_parse_poly, text)
 
 
+# format_poly as it was before the one-pass term writer: a sign and an abs()
+# body per term, joined, with a leading '+' stripped
+def _branchy_format_poly(p):
+    cs, low = p._coeffs, p._low
+    if not cs:
+        return "0"
+    parts = []
+    for i in range(len(cs) - 1, -1, -1):
+        c = cs[i]
+        if not c:
+            continue
+        e = low + i
+        sign = "-" if c < 0 else "+"
+        mag = abs(c)
+        if e == 0:
+            body = str(mag)
+        else:
+            upart = "u" if e == 1 else f"u^{e}"
+            body = upart if mag == 1 else f"{mag}*{upart}"
+        parts.append(sign + body)
+    out = "".join(parts)
+    return out[1:] if out.startswith("+") else out
+
+
+# the largest magnitude str() prints by default has 4300 digits
+_LONGEST = 10**4300 - 1
+format_coeffs = st.one_of(
+    st.sampled_from([1, -1]),
+    st.integers(min_value=-10**12, max_value=10**12),
+    st.builds(lambda k, s: s * (_LONGEST - k), st.integers(0, 10**6),
+              st.sampled_from([1, -1])),
+)
+# exponents near -1, 0 and 1, where the writer branches, and away from them
+format_polys = st.dictionaries(
+    st.one_of(st.integers(min_value=-3, max_value=3),
+              st.integers(min_value=-60, max_value=60)),
+    format_coeffs,
+    max_size=8,
+).map(LaurentPoly)
+
+
+class TestFormat:
+    @settings(max_examples=500, deadline=None)
+    @given(format_polys)
+    @example(LaurentPoly({1: 1, 0: -1, -1: 1}))
+    @example(LaurentPoly({1: -1, 0: 1, -1: -1}))
+    @example(LaurentPoly({1: -_LONGEST, 0: _LONGEST}))
+    def test_same_as_the_branchy_formatter(self, p):
+        assert format_poly(p) == _branchy_format_poly(p)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.dictionaries(st.integers(min_value=1, max_value=12),
+                           format_polys.filter(bool), max_size=6))
+    def test_series_bodies_match_the_branchy_formatter(self, coeffs):
+        z = ZetaSeries(12, coeffs)
+        parts = []
+        for n in z.support():
+            c = z.coeff(n)
+            low = c.low_degree
+            suffix = "" if low == 0 else "*u" if low == 1 else f"*u^{low}"
+            parts.append(f"({_branchy_format_poly(c.shift(-low))}){suffix}*T^{n}")
+        assert format_series(z) == (" + ".join(parts) or "0")
+        assert z.to_json_dict()["terms"] == [
+            {"n": n, "coeff": _branchy_format_poly(z.coeff(n))} for n in z.support()
+        ]
+
+    @pytest.mark.parametrize("value", [_LONGEST + 1, -_LONGEST - 1],
+                             ids=["positive", "negative"])
+    def test_a_coefficient_too_long_to_print_is_a_bound_error(self, value):
+        p = LaurentPoly({3: 1, 0: value})
+        with pytest.raises(RingBoundError, match="more than 4300 digits cannot"):
+            format_poly(p)
+        with pytest.raises(RingBoundError):
+            format_series(ZetaSeries(2, {2: p}))
+
+
 def _sparse(p):
     return {e: c for e, c in p.terms.items()}
 

@@ -483,6 +483,21 @@ class TestReflection:
         info = zeta._kept_invariants.cache_info()
         assert (info.misses, info.hits, info.currsize) == (1, 3, 1)
 
+    @pytest.mark.parametrize("left, right", [
+        ("x^2*y^3", "x^3*y^2"), ("x^2*y^4", "-x^4*y^2"),
+        ("x^1*y^2*z^3", "x^3*y^1*z^2"),
+    ])
+    def test_permuted_monomials_share_one_kept_triple(self, left, right):
+        from arczeta import zeta
+
+        zeta._kept_invariants.cache_clear()
+        triples = [germ_invariants(parse_germ(text), 24) for text in (left, right)]
+        info = zeta._kept_invariants.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+        swept = [_sweeps(parse_germ(text), 24) for text in (left, right)]
+        for inv, series in zip(triples, swept):
+            assert (inv.naive, inv.plus, inv.minus) == tuple(series.values())
+
     @pytest.mark.parametrize("order", [104, 112, 120])
     def test_the_shared_triple_holds_at_high_order(self, order):
         # x^3 +- y^5 read one kept triple, so a check built on germ_invariants
